@@ -25,7 +25,9 @@ ViterbiAcceleratorSim::ViterbiAcceleratorSim(
            (config.hash == HashOrganisation::UnboundedBaseline
                 ? config.backupEntries
                 : 0)) *
-          config.hashEntryBytes))
+          config.hashEntryBytes)),
+      arcBase_(fst.stateCount() * kStateRecordBytes),
+      evalEnergy_(2.0 * EnergyModel::fp32AddEnergy())
 {
     ds_assert(config.frequencyHz > 0.0);
 }
@@ -34,8 +36,11 @@ void
 ViterbiAcceleratorSim::onUtteranceStart(std::size_t frames)
 {
     // The acoustic likelihood buffer is refilled per utterance by the
-    // DNN accelerator through the shared DRAM buffer; the WFST caches
-    // stay warm across utterances (same graph).
+    // DNN accelerator through the shared DRAM buffer. The WFST caches
+    // are not flushed here, but runUtterance builds a fresh simulator
+    // per utterance, so every utterance of a test set starts with cold
+    // caches: that keeps each utterance's simulated time independent
+    // of which utterances a worker thread decoded before it.
 }
 
 void
@@ -47,34 +52,39 @@ ViterbiAcceleratorSim::onStateExpand(StateId state)
         ++frameStateMisses_;
     }
     energy_.addDynamic(stateCache_.accessEnergy());
-}
 
-void
-ViterbiAcceleratorSim::onArcTraverse(std::size_t arc_index,
-                                     const Arc &arc)
-{
-    ++frameArcAccesses_;
-    // Arc records live after the state table in the WFST image.
-    const std::uint64_t base = fst_.stateCount() * kStateRecordBytes;
-    if (!arcCache_.access(base + static_cast<std::uint64_t>(arc_index) *
-                          kArcRecordBytes)) {
-        ++frameArcMisses_;
-    }
-    energy_.addDynamic(arcCache_.accessEnergy());
+    // The Arc Issuer fetches the state's arc run in CSR order, which is
+    // the order the decoder relaxes it in right after this hook. Per
+    // arc: arc fetch, acoustic likelihood read, likelihood evaluation
+    // (add + compare), and a lattice write for word arcs; the energy is
+    // added in exactly that order.
+    const double arc_energy = arcCache_.accessEnergy();
+    const double likelihood_energy = likelihoodMem_.accessEnergy;
+    const double lattice_energy = latticeCache_.accessEnergy();
+    const std::uint64_t lattice_frame =
+        static_cast<std::uint64_t>(frames_) * 4096;
+    const std::size_t begin = fst_.arcBegin(state);
+    const std::size_t end = fst_.arcEnd(state);
+    frameArcAccesses_ += end - begin;
+    const Arc *const last = fst_.arcData(end);
+    std::uint64_t arc_addr =
+        arcBase_ + static_cast<std::uint64_t>(begin) * kArcRecordBytes;
+    for (const Arc *arc = fst_.arcData(begin); arc != last;
+         ++arc, arc_addr += kArcRecordBytes) {
+        if (!arcCache_.access(arc_addr))
+            ++frameArcMisses_;
+        energy_.addDynamic(arc_energy);
+        energy_.addDynamic(likelihood_energy);
+        energy_.addDynamic(evalEnergy_);
 
-    // Acoustic likelihood read + likelihood evaluation (add + compare).
-    energy_.addDynamic(likelihoodMem_.accessEnergy);
-    energy_.addDynamic(2.0 * EnergyModel::fp32AddEnergy());
-
-    if (arc.olabel != kEpsilon) {
-        ++frameLatticeWrites_;
-        const std::uint64_t lattice_addr =
-            (static_cast<std::uint64_t>(frames_) * 4096 +
-             frameLatticeWrites_) *
-            kLatticeRecordBytes;
-        if (!latticeCache_.access(lattice_addr))
-            ++frameLatticeMisses_;
-        energy_.addDynamic(latticeCache_.accessEnergy());
+        if (arc->olabel != kEpsilon) {
+            ++frameLatticeWrites_;
+            if (!latticeCache_.access((lattice_frame +
+                                       frameLatticeWrites_) *
+                                      kLatticeRecordBytes))
+                ++frameLatticeMisses_;
+            energy_.addDynamic(lattice_energy);
+        }
     }
 }
 

@@ -5,10 +5,14 @@
  * storage with the small set-associative Max-Heap hash (Sec. III-B).
  *
  * The simulator attaches to the software Viterbi decoder as a
- * SearchObserver: it sees the exact state/arc fetch streams (driving the
- * State/Arc/Word-Lattice cache models) and the per-frame selector
- * counters (driving the hash-access and overflow cost model). Per frame
- * the pipeline throughput is limited by its busiest stage:
+ * SearchObserver. It sees each state the decoder expands and replays
+ * that state's arc run itself, in the WFST's CSR order: the decoder
+ * relaxes exactly that run right after the hook, so the replay yields
+ * the exact state/arc fetch streams and lattice writes (driving the
+ * State/Arc/Word-Lattice cache models) without a per-arc callback. The
+ * per-frame selector counters drive the hash-access and overflow cost
+ * model. Per frame the pipeline throughput is limited by its busiest
+ * stage:
  *
  *   state issue   : 1 token/cycle + DRAM for state-cache misses
  *   arc issue     : 1 arc/cycle + DRAM for arc-cache misses
@@ -99,8 +103,9 @@ class ViterbiAcceleratorSim : public SearchObserver
 
     // SearchObserver interface.
     void onUtteranceStart(std::size_t frames) override;
+    /** State fetch, then the fetch of its whole arc run and the
+     *  lattice writes of the run's word arcs. */
     void onStateExpand(StateId state) override;
-    void onArcTraverse(std::size_t arc_index, const Arc &arc) override;
     void onFrameEnd(const FrameActivity &activity) override;
 
     /** Results accumulated since construction (or resetStats()). */
@@ -134,6 +139,11 @@ class ViterbiAcceleratorSim : public SearchObserver
     CacheModel latticeCache_;
     MemoryCharacteristics likelihoodMem_;
     MemoryCharacteristics hashMem_;
+    /** Byte address of arc 0: arc records follow the state table in
+     *  the WFST image. */
+    std::uint64_t arcBase_;
+    /** Likelihood evaluation energy per arc (add + compare). */
+    double evalEnergy_;
 
     std::uint64_t cycles_ = 0;
     std::uint64_t frames_ = 0;

@@ -98,15 +98,6 @@ class TeeSearchObserver : public SearchObserver
     }
 
     void
-    onArcTraverse(std::size_t arc_index, const Arc &arc) override
-    {
-        if (a_)
-            a_->onArcTraverse(arc_index, arc);
-        if (b_)
-            b_->onArcTraverse(arc_index, arc);
-    }
-
-    void
     onFrameEnd(const FrameActivity &activity) override
     {
         if (a_)

@@ -46,8 +46,9 @@ namespace {
  * perform identical arithmetic in identical order — the chunked result
  * is bit-identical to the batch result by construction. Templated on
  * observer presence (kObserved) and the concrete selector type: with
- * kObserved == false and Sel a final class, the inner per-arc loop
- * compiles with no observer branches and no virtual calls.
+ * Sel a final class the inner per-arc loop compiles with no virtual
+ * calls, and no instantiation calls an observer per arc (observers see
+ * each expanded state and replay its arc run themselves).
  *
  * @return false when the search died (no survivors this frame).
  */
@@ -76,8 +77,6 @@ stepFrame(const Wfst &fst, const DecoderConfig &config, TraceArena &arena,
         const std::size_t end = fst.arcEnd(token.state);
         const Arc *arc = fst.arcData(begin);
         for (std::size_t a = begin; a < end; ++a, ++arc) {
-            if constexpr (kObserved)
-                observer->onArcTraverse(a, *arc);
             Hypothesis hyp;
             hyp.state = arc->dest;
             hyp.cost = token.cost + arc->weight + row[arc->ilabel];

@@ -10,9 +10,10 @@
  * The decode loop itself is a devirtualized template (see DESIGN.md
  * "Decode hot path"): `decode()` dispatches once per utterance on
  * (observer attached?, selector is the UnboundedSelector?), so the
- * common sweep/bench configuration runs with zero virtual calls and
- * zero observer branches per arc, while results stay bit-identical
- * across all dispatch variants.
+ * common sweep/bench configuration runs with zero virtual calls per
+ * arc, while results stay bit-identical across all dispatch variants.
+ * Observers are called per frame and per expanded state, never per
+ * arc.
  */
 
 #ifndef DARKSIDE_DECODER_VITERBI_DECODER_HH
@@ -98,7 +99,9 @@ struct DecodeResult
  * Observation hooks the decoder fires while searching. The Viterbi
  * accelerator simulator implements this interface to see the exact
  * state/arc access streams (for its cache models) without the decoder
- * knowing anything about hardware.
+ * knowing anything about hardware. There is no per-arc hook: the
+ * decoder's per-arc loop never calls an observer, and an observer that
+ * needs the arc stream derives it from onStateExpand.
  */
 class SearchObserver
 {
@@ -111,11 +114,14 @@ class SearchObserver
     /** Frame `t` starts. */
     virtual void onFrameStart(std::size_t t) {}
 
-    /** The State Issuer fetched `state` for expansion. */
+    /**
+     * The State Issuer fetched `state` for expansion. Right after this
+     * call the decoder relaxes the state's whole arc run
+     * [fst.arcBegin(state), fst.arcEnd(state)), in order, and no other
+     * arc, before the next onStateExpand or onFrameEnd: an observer
+     * may replay that run as the frame's arc fetch stream.
+     */
     virtual void onStateExpand(StateId state) {}
-
-    /** The Arc Issuer fetched arc `arc_index` (and scored arc.ilabel). */
-    virtual void onArcTraverse(std::size_t arc_index, const Arc &arc) {}
 
     /** Frame closed with the given activity counters. */
     virtual void onFrameEnd(const FrameActivity &activity) {}

@@ -278,10 +278,11 @@ StreamingServer::offer(const Utterance &utt)
     }
     pool_.submit([this, utt, index, now, breakerProbe] {
         runSession(utt, index, now, breakerProbe);
-        {
-            std::lock_guard<std::mutex> lock(doneMutex_);
-            --inflight_;
-        }
+        // Notify under the lock: once drain() sees inflight_ == 0 the
+        // destructor may destroy doneCv_ (before the pool joins this
+        // worker), so the notify must finish before drain() can wake.
+        std::lock_guard<std::mutex> lock(doneMutex_);
+        --inflight_;
         doneCv_.notify_all();
     });
     return true;

@@ -46,6 +46,13 @@ struct CacheStats
 
 /**
  * Functional tag-array-only cache (no data payload needed for timing).
+ *
+ * The simulated streams are mostly sequential (10 B arc records, 12 B
+ * lattice records), so most accesses repeat the line just accessed.
+ * access() answers those inline: that line is its set's most recently
+ * used way and nothing has touched the set since, so the hit changes
+ * neither the LRU order nor anything but the hit count. Every other
+ * access searches its set's tag array out of line.
  */
 class CacheModel
 {
@@ -56,7 +63,17 @@ class CacheModel
      * Access one byte address.
      * @return true on hit
      */
-    bool access(std::uint64_t address);
+    bool
+    access(std::uint64_t address)
+    {
+        const std::uint64_t line_addr = address >> lineShift_;
+        if (line_addr == lastLine_) {
+            ++stats_.hits;
+            return true;
+        }
+        lastLine_ = line_addr;
+        return lookup(line_addr);
+    }
 
     /** Invalidate everything (e.g. a new utterance / new WFST). */
     void flush();
@@ -76,18 +93,26 @@ class CacheModel
     double area() const { return characteristics_.area; }
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    /** Tag of an empty way, and lastLine_ before any access. No tag or
+     *  line address reaches it: a line holds at least two bytes. */
+    static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+    /** Set search (hit, or fill on a miss) for a line other than the
+     *  last one accessed. */
+    bool lookup(std::uint64_t line_addr);
 
     CacheConfig config_;
     MemoryCharacteristics characteristics_;
     std::size_t sets_;
-    std::vector<Line> lines_;
-    std::uint64_t clock_;
+    unsigned lineShift_;
+    /** Per-set tag arrays, `ways` entries per set (kNone = empty). */
+    std::vector<std::uint64_t> tags_;
+    /** Access clock of each way's last use, laid out like tags_. */
+    std::vector<std::uint64_t> lastUse_;
+    std::uint64_t clock_ = 0;
+    /** Line address of the most recent access (resident by
+     *  construction), kNone after a flush. */
+    std::uint64_t lastLine_ = kNone;
     CacheStats stats_;
 };
 

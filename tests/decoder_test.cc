@@ -196,24 +196,32 @@ TEST_F(DecoderFixture, NBestSelectorBoundsWorkload)
     EXPECT_EQ(result.words, words);
 }
 
-/** Observer recording callback counts. */
+/** Observer recording callback counts, and the arcs the expanded
+ *  states' runs cover (what the accelerator simulator replays). */
 struct CountingObserver : public SearchObserver
 {
+    explicit CountingObserver(const Wfst &fst) : fst(fst) {}
+
     void onUtteranceStart(std::size_t frames) override
     {
         ++utterances;
         totalFrames += frames;
     }
     void onFrameStart(std::size_t) override { ++frameStarts; }
-    void onStateExpand(StateId) override { ++stateExpands; }
-    void onArcTraverse(std::size_t, const Arc &) override
+    void onStateExpand(StateId state) override
     {
-        ++arcTraverses;
+        ++stateExpands;
+        frameArcRuns += fst.outDegree(state);
     }
     void onFrameEnd(const FrameActivity &activity) override
     {
         ++frameEnds;
         generated += activity.generated;
+        // Each frame relaxes exactly the runs of its expanded states.
+        if (frameArcRuns != activity.generated)
+            ++framesWithOtherArcs;
+        arcRuns += frameArcRuns;
+        frameArcRuns = 0;
     }
     void onUtteranceEnd(const TraceStats &trace) override
     {
@@ -227,9 +235,12 @@ struct CountingObserver : public SearchObserver
     std::size_t frameEnds = 0;
     std::size_t utteranceEnds = 0;
     std::uint64_t stateExpands = 0;
-    std::uint64_t arcTraverses = 0;
+    std::uint64_t arcRuns = 0;
+    std::uint64_t frameArcRuns = 0;
+    std::size_t framesWithOtherArcs = 0;
     std::uint64_t generated = 0;
     std::uint64_t traceAllocated = 0;
+    const Wfst &fst;
 };
 
 TEST_F(DecoderFixture, ObserverSeesEveryEvent)
@@ -238,7 +249,7 @@ TEST_F(DecoderFixture, ObserverSeesEveryEvent)
     const auto scores = makeScores(words, 10);
     UnboundedSelector selector;
     ViterbiDecoder decoder(*fst, DecoderConfig{10.0f});
-    CountingObserver observer;
+    CountingObserver observer(*fst);
     const DecodeResult result =
         decoder.decode(scores, selector, &observer);
 
@@ -246,7 +257,8 @@ TEST_F(DecoderFixture, ObserverSeesEveryEvent)
     EXPECT_EQ(observer.totalFrames, scores.frameCount());
     EXPECT_EQ(observer.frameStarts, scores.frameCount());
     EXPECT_EQ(observer.frameEnds, scores.frameCount());
-    EXPECT_EQ(observer.arcTraverses, result.totalGenerated());
+    EXPECT_EQ(observer.arcRuns, result.totalGenerated());
+    EXPECT_EQ(observer.framesWithOtherArcs, 0u);
     EXPECT_EQ(observer.generated, result.totalGenerated());
     std::uint64_t expanded = 0;
     for (const auto &f : result.frames)
@@ -316,7 +328,7 @@ TEST(DeadSearch, ShrunkBeamReportsExplicitFailure)
     EXPECT_EQ(dead.frames[1].generated, 0u);
     // The dead search still reports its trace accounting, and fires
     // the utterance-end hook exactly once.
-    CountingObserver observer;
+    CountingObserver observer(fst);
     UnboundedSelector observed_selector;
     const DecodeResult dead2 = ViterbiDecoder(fst, DecoderConfig{2.0f})
                                    .decode(scores, observed_selector,

@@ -11,10 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "decoder/acoustic.hh"
 #include "decoder/search_telemetry.hh"
@@ -195,6 +198,198 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(64, 4), std::make_tuple(256, 4),
                       std::make_tuple(768, 8),
                       std::make_tuple(128, 2)));
+
+// ---------------------------------------------------------------------
+// CacheModel reference equivalence: the production model (inline
+// last-line fast path, shift-indexed lines, per-set tag arrays) must
+// agree with the original LRU model access for access, over random,
+// strided and repeating streams with flushes and stat resets mixed in.
+// ---------------------------------------------------------------------
+
+/**
+ * Verbatim port of the original CacheModel::access(): one 24-byte Line
+ * per way, divide/modulo set indexing, and a way loop that hits on a
+ * valid matching tag and otherwise fills the last empty way, else the
+ * least recently used one.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig &config)
+        : config_(config), clock_(0)
+    {
+        sets_ = config.sizeBytes / (config.lineBytes * config.ways);
+        lines_.resize(sets_ * config.ways);
+    }
+
+    bool
+    access(std::uint64_t address)
+    {
+        ++clock_;
+        const std::uint64_t line_addr = address / config_.lineBytes;
+        const std::uint64_t set = line_addr % sets_;
+        const std::uint64_t tag = line_addr / sets_;
+
+        Line *base = &lines_[set * config_.ways];
+        Line *victim = base;
+        for (std::size_t w = 0; w < config_.ways; ++w) {
+            Line &line = base[w];
+            if (line.valid && line.tag == tag) {
+                line.lastUse = clock_;
+                ++stats_.hits;
+                return true;
+            }
+            if (!line.valid) {
+                victim = &line;
+            } else if (victim->valid && line.lastUse < victim->lastUse) {
+                victim = &line;
+            }
+        }
+
+        ++stats_.misses;
+        victim->valid = true;
+        victim->tag = tag;
+        victim->lastUse = clock_;
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (auto &line : lines_)
+            line.valid = false;
+    }
+
+    const CacheStats &stats() const { return stats_; }
+    void resetStats() { stats_ = CacheStats{}; }
+
+  private:
+    struct Line
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    CacheConfig config_;
+    std::size_t sets_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_;
+    CacheStats stats_;
+};
+
+/** (size bytes, ways, line bytes). */
+class CacheReferenceProperty
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::size_t, std::size_t>>
+{};
+
+TEST_P(CacheReferenceProperty, EveryAccessMatchesReferenceModel)
+{
+    const auto [bytes, ways, line_bytes] = GetParam();
+    const CacheConfig config{"c", bytes, ways, line_bytes};
+    CacheModel model(config);
+    ReferenceCache reference(config);
+    Rng rng(bytes * 131 + ways * 7 + line_bytes);
+
+    std::size_t accesses = 0;
+    const auto step = [&](std::uint64_t address) {
+        if (HasFatalFailure())
+            return;
+        const bool expected = reference.access(address);
+        ASSERT_EQ(model.access(address), expected)
+            << "access " << accesses << " address " << address;
+        ++accesses;
+    };
+
+    // Addresses span ~4x the capacity so streams both hit and evict.
+    const std::uint64_t span = 4 * bytes;
+    std::uint64_t frame = 0;
+    for (int segment = 0; segment < 400; ++segment) {
+        switch (rng.below(7)) {
+          case 0: // seeded random addresses, a few far out of range
+            for (int i = 0; i < 200; ++i) {
+                step(rng.chance(0.05) ? rng.next() >> 4
+                                      : rng.below(span));
+            }
+            break;
+          case 1: // 10 B records: arc runs of one expanded state
+            for (int run = 0; run < 40; ++run) {
+                std::uint64_t a = rng.below(span / 10);
+                const std::uint64_t end = a + rng.below(24);
+                for (; a < end; ++a)
+                    step(4096 + a * 10);
+            }
+            break;
+          case 2: // 12 B records: one frame's lattice writes
+            for (std::uint64_t w = 1; w <= 300; ++w)
+                step((frame * 4096 + w) * 12);
+            ++frame;
+            break;
+          case 3: // repeats of one line, by the same and other bytes
+            for (int i = 0; i < 20; ++i) {
+                const std::uint64_t a = rng.below(span);
+                const std::uint64_t repeats = 1 + rng.below(8);
+                for (std::uint64_t r = 0; r < repeats; ++r)
+                    step(a - a % line_bytes + rng.below(line_bytes));
+            }
+            break;
+          case 4: // one set's worth of conflicting lines, revisited
+            for (int i = 0; i < 50; ++i) {
+                const std::uint64_t sets = bytes / (line_bytes * ways);
+                step(rng.below(2 * ways + 1) * sets * line_bytes);
+            }
+            break;
+          case 5:
+            model.flush();
+            reference.flush();
+            break;
+          case 6:
+            EXPECT_EQ(model.stats().hits, reference.stats().hits);
+            EXPECT_EQ(model.stats().misses, reference.stats().misses);
+            model.resetStats();
+            reference.resetStats();
+            break;
+        }
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(accesses, 10000u);
+    EXPECT_EQ(model.stats().hits, reference.stats().hits);
+    EXPECT_EQ(model.stats().misses, reference.stats().misses);
+
+    // A copy carries the cache contents and the last-line memo: it
+    // keeps agreeing with the reference from where the original was.
+    CacheModel copy = model;
+    for (int i = 0; i < 2000; ++i) {
+        const std::uint64_t address =
+            i % 3 == 0 ? rng.below(span) : 4096 + (i / 3) * 10;
+        ASSERT_EQ(copy.access(address), reference.access(address))
+            << "copy access " << i;
+    }
+    EXPECT_EQ(copy.stats().hits, reference.stats().hits);
+    EXPECT_EQ(copy.stats().misses, reference.stats().misses);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheReferenceProperty,
+    ::testing::Values(
+        // Scaled platform caches (the 48 KB arc cache has 96 sets).
+        std::make_tuple(16 * 1024, 4, 64),
+        std::make_tuple(48 * 1024, 8, 64),
+        std::make_tuple(8 * 1024, 2, 64),
+        // Table III (the 768 KB arc cache has 1536 sets).
+        std::make_tuple(256 * 1024, 4, 64),
+        std::make_tuple(768 * 1024, 8, 64),
+        std::make_tuple(128 * 1024, 2, 64),
+        // Tiny, odd set counts, direct-mapped, fully associative,
+        // wide sets and other line sizes.
+        std::make_tuple(768, 4, 64), std::make_tuple(640, 2, 64),
+        std::make_tuple(4 * 1024, 1, 64), std::make_tuple(64, 1, 64),
+        std::make_tuple(2 * 1024, 32, 64),
+        std::make_tuple(6 * 1024, 3, 64),
+        std::make_tuple(3 * 1024, 16, 16),
+        std::make_tuple(96 * 1024, 6, 128)));
 
 // ---------------------------------------------------------------------
 // xorFoldHash: every index width covers its whole range on dense keys.
@@ -958,9 +1153,10 @@ TEST_P(StreamingChunkProperty, ChunkedDecodeMatchesBatch)
             stream.advanceFrames(scores, begin, end);
             const PartialHypothesis partial = stream.partial();
             EXPECT_EQ(partial.frames, stream.frames());
-            if (!stream.dead())
+            if (!stream.dead()) {
                 EXPECT_LT(partial.cost,
                           std::numeric_limits<float>::infinity());
+            }
         }
         return stream;
     };
