@@ -108,6 +108,28 @@ stepFrame(const Wfst &fst, const DecoderConfig &config, TraceArena &arena,
     return true;
 }
 
+/**
+ * The one list of selectors the decode kernel binds statically: calls
+ * `fn` with `selector` as its concrete type when that is one of these
+ * `final` classes, and as the interface otherwise (the kernel then runs
+ * through virtual calls). Both decode arms dispatch through here — the
+ * batch arm once per utterance, the streaming arm once per chunk.
+ */
+template <typename Fn>
+decltype(auto)
+withConcreteSelector(HypothesisSelector &selector, Fn &&fn)
+{
+    if (auto *s = dynamic_cast<UnboundedSelector *>(&selector))
+        return fn(*s);
+    if (auto *s = dynamic_cast<SetAssociativeHash *>(&selector))
+        return fn(*s);
+    if (auto *s = dynamic_cast<RelativeThresholdSelector *>(&selector))
+        return fn(*s);
+    if (auto *s = dynamic_cast<AdaptiveBeamSelector *>(&selector))
+        return fn(*s);
+    return fn(selector);
+}
+
 /** Hand the spent arena's pool and accounting to the result. */
 void
 sealTrace(TraceArena &arena, DecodeResult &result)
@@ -152,8 +174,8 @@ finalizeBest(const Wfst &fst, DecodeResult &result,
 
 /**
  * The batch search kernel: stepFrame over every row of `scores`, then
- * the best-token epilogue. All four (kObserved x selector)
- * instantiations produce bit-identical results.
+ * the best-token epilogue. Every (kObserved x selector) instantiation
+ * produces bit-identical results.
  */
 template <bool kObserved, typename Sel>
 DecodeResult
@@ -213,27 +235,10 @@ ViterbiDecoder::decode(const AcousticScores &scores,
                        HypothesisSelector &selector,
                        SearchObserver *observer) const
 {
-    // Thin dispatcher: one RTTI chain per *utterance* buys a fully
-    // devirtualized inner loop for the dominant (unbounded) selector
-    // and the adaptive software selectors (all `final`); every other
-    // selector runs the same kernel through the virtual interface.
-    if (auto *unbounded = dynamic_cast<UnboundedSelector *>(&selector)) {
-        return observer
-            ? decodeImpl<true>(scores, *unbounded, observer)
-            : decodeImpl<false>(scores, *unbounded, nullptr);
-    }
-    if (auto *rel =
-            dynamic_cast<RelativeThresholdSelector *>(&selector)) {
-        return observer ? decodeImpl<true>(scores, *rel, observer)
-                        : decodeImpl<false>(scores, *rel, nullptr);
-    }
-    if (auto *adaptive =
-            dynamic_cast<AdaptiveBeamSelector *>(&selector)) {
-        return observer ? decodeImpl<true>(scores, *adaptive, observer)
-                        : decodeImpl<false>(scores, *adaptive, nullptr);
-    }
-    return observer ? decodeImpl<true>(scores, selector, observer)
-                    : decodeImpl<false>(scores, selector, nullptr);
+    return withConcreteSelector(selector, [&](auto &sel) {
+        return observer ? decodeImpl<true>(scores, sel, observer)
+                        : decodeImpl<false>(scores, sel, nullptr);
+    });
 }
 
 ViterbiStream
@@ -265,22 +270,9 @@ ViterbiStream::advanceFrames(const AcousticScores &scores,
     if (dead_)
         return;
 
-    // The same dispatch chain as ViterbiDecoder::decode(), per chunk
-    // instead of per utterance: the streaming arm runs the statically
-    // bound stepFrame instantiation for every `final` selector.
-    if (auto *unbounded =
-            dynamic_cast<UnboundedSelector *>(selector_)) {
-        advanceImpl(scores, begin, end, *unbounded);
-    } else if (auto *rel =
-                   dynamic_cast<RelativeThresholdSelector *>(
-                       selector_)) {
-        advanceImpl(scores, begin, end, *rel);
-    } else if (auto *adaptive =
-                   dynamic_cast<AdaptiveBeamSelector *>(selector_)) {
-        advanceImpl(scores, begin, end, *adaptive);
-    } else {
-        advanceImpl(scores, begin, end, *selector_);
-    }
+    withConcreteSelector(*selector_, [&](auto &sel) {
+        advanceImpl(scores, begin, end, sel);
+    });
 }
 
 template <typename Sel>

@@ -9,11 +9,14 @@
  *
  * The decode loop itself is a devirtualized template (see DESIGN.md
  * "Decode hot path"): `decode()` dispatches once per utterance on
- * (observer attached?, selector is the UnboundedSelector?), so the
- * common sweep/bench configuration runs with zero virtual calls per
- * arc, while results stay bit-identical across all dispatch variants.
- * Observers are called per frame and per expanded state, never per
- * arc.
+ * whether an observer is attached and on the selector's concrete type.
+ * Each `final` selector (unbounded, Max-Heap hash, relative threshold,
+ * adaptive beam) runs a statically bound kernel with zero virtual calls
+ * per arc; any other selector runs the same kernel through the virtual
+ * interface. Streaming decode dispatches the same way per chunk, from
+ * the same list. Results stay bit-identical across all dispatch
+ * variants. Observers are called per frame and per expanded state,
+ * never per arc.
  */
 
 #ifndef DARKSIDE_DECODER_VITERBI_DECODER_HH
@@ -131,7 +134,6 @@ class SearchObserver
     virtual void onUtteranceEnd(const TraceStats &trace) {}
 };
 
-class UnboundedSelector;
 class ViterbiStream;
 
 /**
@@ -250,8 +252,8 @@ class ViterbiStream
                   HypothesisSelector &selector, SearchObserver *observer);
 
     /** The chunk loop, templated on the concrete selector type so
-     *  advanceFrames' dispatch (same chain as decode()) reaches the
-     *  statically bound stepFrame instantiations. */
+     *  advanceFrames' dispatch (the same list as decode()'s) reaches
+     *  the statically bound stepFrame instantiations. */
     template <typename Sel>
     void advanceImpl(const AcousticScores &scores, std::size_t begin,
                      std::size_t end, Sel &selector);

@@ -1,188 +1,25 @@
 #include "nbest/max_heap_set.hh"
 
-#include <algorithm>
-
 namespace darkside {
 
 MaxHeapSet::MaxHeapSet(std::size_t ways)
-    : entries_(ways), size_(0)
+    : ways_(static_cast<std::uint8_t>(ways))
 {
-    ds_assert(ways >= 1 && ways <= 255);
-    heap_.reserve(ways);
-    maxPath_.reserve(8);
-}
-
-void
-MaxHeapSet::clear()
-{
-    size_ = 0;
-    heap_.clear();
-    maxPath_.clear();
-}
-
-int
-MaxHeapSet::find(StateId state) const
-{
-    for (std::size_t i = 0; i < size_; ++i) {
-        if (entries_[i].state == state)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-const Hypothesis &
-MaxHeapSet::entry(std::size_t i) const
-{
-    ds_assert(i < size_);
-    return entries_[i];
-}
-
-float
-MaxHeapSet::worstCost() const
-{
-    ds_assert(size_ > 0);
-    return entries_[heap_[0]].cost;
-}
-
-float
-MaxHeapSet::costAtHeap(std::size_t pos) const
-{
-    return entries_[heap_[pos]].cost;
-}
-
-void
-MaxHeapSet::insert(const Hypothesis &hyp)
-{
-    ds_assert(!full());
-    const auto slot = static_cast<std::uint8_t>(size_);
-    entries_[size_] = hyp;
-    heap_.push_back(slot);
-    ++size_;
-    siftUp(heap_.size() - 1);
-    rebuildMaxPath();
-}
-
-void
-MaxHeapSet::recombine(int slot, const Hypothesis &hyp)
-{
-    ds_assert(slot >= 0 && static_cast<std::size_t>(slot) < size_);
-    ds_assert(entries_[slot].state == hyp.state);
-    ds_assert(hyp.cost <= entries_[slot].cost);
-    entries_[slot] = hyp;
-    // The cost decreased: the node may now violate the max-heap property
-    // towards its children; sift its heap position down.
-    for (std::size_t pos = 0; pos < heap_.size(); ++pos) {
-        if (heap_[pos] == slot) {
-            siftDown(pos);
-            break;
-        }
-    }
-    rebuildMaxPath();
-}
-
-void
-MaxHeapSet::replaceWorst(const Hypothesis &hyp)
-{
-    ds_assert(full());
-    ds_assert(hyp.cost < worstCost());
-    ds_assert(!maxPath_.empty());
-
-    // Hardware (Fig. 8): compare the new cost against every node of the
-    // maximum path in parallel. Nodes worse than the new hypothesis
-    // shift one level up (the root is discarded); the new hypothesis is
-    // placed at the deepest vacated position. Only the index vector
-    // moves; entry payloads stay in their slots.
-    const std::uint8_t freed_slot = heap_[maxPath_[0]];
-
-    std::size_t depth = 1;
-    while (depth < maxPath_.size() &&
-           costAtHeap(maxPath_[depth]) > hyp.cost) {
-        ++depth;
-    }
-    // Positions maxPath_[1 .. depth-1] shift up; the new hypothesis goes
-    // to position maxPath_[depth - 1] (the root when depth == 1).
-    for (std::size_t d = 1; d < depth; ++d)
-        heap_[maxPath_[d - 1]] = heap_[maxPath_[d]];
-    heap_[maxPath_[depth - 1]] = freed_slot;
-    entries_[freed_slot] = hyp;
-
-    rebuildMaxPath();
-}
-
-void
-MaxHeapSet::collect(std::vector<Hypothesis> &out) const
-{
-    for (std::size_t i = 0; i < size_; ++i)
-        out.push_back(entries_[i]);
+    ds_assert(ways >= 1 && ways <= kMaxWays);
 }
 
 bool
 MaxHeapSet::heapValid() const
 {
-    for (std::size_t pos = 0; pos < heap_.size(); ++pos) {
+    for (std::size_t pos = 0; pos < size_; ++pos) {
         const std::size_t left = 2 * pos + 1;
         const std::size_t right = 2 * pos + 2;
-        if (left < heap_.size() && costAtHeap(pos) < costAtHeap(left))
+        if (left < size_ && costAtHeap(pos) < costAtHeap(left))
             return false;
-        if (right < heap_.size() && costAtHeap(pos) < costAtHeap(right))
+        if (right < size_ && costAtHeap(pos) < costAtHeap(right))
             return false;
     }
     return true;
-}
-
-void
-MaxHeapSet::rebuildMaxPath()
-{
-    maxPath_.clear();
-    if (heap_.empty())
-        return;
-    std::size_t pos = 0;
-    maxPath_.push_back(0);
-    while (true) {
-        const std::size_t left = 2 * pos + 1;
-        const std::size_t right = 2 * pos + 2;
-        if (left >= heap_.size())
-            break;
-        std::size_t next = left;
-        if (right < heap_.size() && costAtHeap(right) > costAtHeap(left))
-            next = right;
-        maxPath_.push_back(static_cast<std::uint8_t>(next));
-        pos = next;
-    }
-}
-
-void
-MaxHeapSet::siftDown(std::size_t pos)
-{
-    while (true) {
-        const std::size_t left = 2 * pos + 1;
-        const std::size_t right = 2 * pos + 2;
-        std::size_t largest = pos;
-        if (left < heap_.size() &&
-            costAtHeap(left) > costAtHeap(largest)) {
-            largest = left;
-        }
-        if (right < heap_.size() &&
-            costAtHeap(right) > costAtHeap(largest)) {
-            largest = right;
-        }
-        if (largest == pos)
-            return;
-        std::swap(heap_[pos], heap_[largest]);
-        pos = largest;
-    }
-}
-
-void
-MaxHeapSet::siftUp(std::size_t pos)
-{
-    while (pos > 0) {
-        const std::size_t parent = (pos - 1) / 2;
-        if (costAtHeap(parent) >= costAtHeap(pos))
-            return;
-        std::swap(heap_[pos], heap_[parent]);
-        pos = parent;
-    }
 }
 
 } // namespace darkside

@@ -202,9 +202,7 @@ SetAssociativeHash::SetAssociativeHash(std::size_t entries,
     const std::size_t set_count = entries / ways;
     ds_assert(isPowerOfTwo(set_count));
     indexBits_ = floorLog2(set_count);
-    sets_.reserve(set_count);
-    for (std::size_t i = 0; i < set_count; ++i)
-        sets_.emplace_back(ways);
+    sets_.assign(set_count, MaxHeapSet(ways));
     name_ = std::to_string(ways) + "-way-hash-" +
         std::to_string(entries);
 }
@@ -215,31 +213,6 @@ SetAssociativeHash::beginFrame()
     stats_ = SelectorFrameStats{};
     for (auto &set : sets_)
         set.clear();
-}
-
-void
-SetAssociativeHash::insert(const Hypothesis &hyp)
-{
-    ++stats_.insertions;
-    MaxHeapSet &set = sets_[xorFoldHash(hyp.state, indexBits_)];
-
-    const int slot = set.find(hyp.state);
-    if (slot >= 0) {
-        ++stats_.recombinations;
-        if (hyp.cost < set.entry(static_cast<std::size_t>(slot)).cost)
-            set.recombine(slot, hyp);
-        return;
-    }
-    if (!set.full()) {
-        set.insert(hyp);
-        return;
-    }
-    if (hyp.cost < set.worstCost()) {
-        ++stats_.evictions;
-        set.replaceWorst(hyp);
-    } else {
-        ++stats_.rejections;
-    }
 }
 
 float

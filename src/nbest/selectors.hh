@@ -25,6 +25,7 @@
 #include "nbest/flat_table.hh"
 #include "nbest/hypothesis.hh"
 #include "nbest/max_heap_set.hh"
+#include "util/bits.hh"
 
 namespace darkside {
 
@@ -128,18 +129,49 @@ class DirectMappedHash : public HypothesisSelector
 
 /**
  * The proposed K-way set-associative hash with Max-Heap replacement.
+ *
+ * The sets are fixed-size MaxHeapSet blocks in one contiguous array.
+ * `final` so the decoder's devirtualized fast path can bind these
+ * methods statically.
  */
-class SetAssociativeHash : public HypothesisSelector
+class SetAssociativeHash final : public HypothesisSelector
 {
   public:
     /**
-     * @param entries total capacity N (paper: 1024); power of two
-     * @param ways set associativity K (paper: 8); must divide entries
+     * @param entries total capacity N (paper: 1024); entries / ways must
+     *        be a power of two
+     * @param ways set associativity K (paper: 8); must divide entries,
+     *        at most MaxHeapSet::kMaxWays
      */
     SetAssociativeHash(std::size_t entries, std::size_t ways);
 
     void beginFrame() override;
-    void insert(const Hypothesis &hyp) override;
+
+    void
+    insert(const Hypothesis &hyp) override
+    {
+        ++stats_.insertions;
+        MaxHeapSet &set = sets_[xorFoldHash(hyp.state, indexBits_)];
+
+        const int slot = set.find(hyp.state);
+        if (slot >= 0) {
+            ++stats_.recombinations;
+            if (hyp.cost < set.entry(static_cast<std::size_t>(slot)).cost)
+                set.recombine(slot, hyp);
+            return;
+        }
+        if (!set.full()) {
+            set.insert(hyp);
+            return;
+        }
+        if (hyp.cost < set.worstCost()) {
+            ++stats_.evictions;
+            set.replaceWorst(hyp);
+        } else {
+            ++stats_.rejections;
+        }
+    }
+
     float finishFrame(std::vector<Hypothesis> &out) override;
     using HypothesisSelector::finishFrame;
     const char *name() const override { return name_.c_str(); }

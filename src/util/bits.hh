@@ -58,9 +58,11 @@ mix64(std::uint64_t k)
  * The hardware hash used by UNFOLD-style hypothesis tables: XOR-fold the
  * state id down to the index width. Cheap in gates (a XOR tree), which is
  * why the accelerator uses it; the quality is what Figs. 7/9 measure.
+ * The loop stops once the key's remaining high bits are all zero: the
+ * folds past them add nothing, so the index equals folding all 64 bits.
  *
  * @param key the hypothesis' WFST state id
- * @param index_bits log2 of the number of sets/entries
+ * @param index_bits log2 of the number of sets/entries (< 64)
  */
 constexpr std::uint32_t
 xorFoldHash(std::uint64_t key, unsigned index_bits)
@@ -68,8 +70,9 @@ xorFoldHash(std::uint64_t key, unsigned index_bits)
     if (index_bits == 0)
         return 0; // a single set/entry: everything maps to it
     std::uint64_t h = key;
-    for (unsigned shift = index_bits; shift < 64; shift += index_bits)
-        h ^= key >> shift;
+    for (std::uint64_t rest = key >> index_bits; rest != 0;
+         rest >>= index_bits)
+        h ^= rest;
     return static_cast<std::uint32_t>(h & ((1ull << index_bits) - 1));
 }
 

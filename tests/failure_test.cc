@@ -132,6 +132,13 @@ TEST(FailureDeathTest, NonPowerOfTwoHashRejected)
     EXPECT_DEATH(SetAssociativeHash(24, 8), "assertion");
 }
 
+TEST(FailureDeathTest, HeapSetWaysBeyondInlineCapacityRejected)
+{
+    // A set stores at most MaxHeapSet::kMaxWays = 16 entries inline.
+    EXPECT_DEATH(MaxHeapSet(17), "assertion");
+    EXPECT_DEATH(MaxHeapSet(0), "assertion");
+}
+
 TEST(FailureDeathTest, MaskOnFixedLayerPanics)
 {
     FullyConnected fc0("FC0", 4, 4, /*trainable=*/false);

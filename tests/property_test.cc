@@ -2,7 +2,8 @@
  * @file
  * Parameterized property tests (TEST_P sweeps) over the library's core
  * invariants: heap-set correctness for every associativity, selector
- * capacity bounds, cache-model sanity across geometries, hash spread
+ * capacity bounds, the Max-Heap hash against its original
+ * implementation, cache-model sanity across geometries, hash spread
  * across index widths, edit-distance metric properties and pruning
  * monotonicity; fault isolation of AsrSystem::runTestSet across
  * worker counts.
@@ -11,11 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -156,6 +161,504 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(64, 2), std::make_tuple(256, 4),
                       std::make_tuple(1024, 8),
                       std::make_tuple(8, 8)));
+
+// ---------------------------------------------------------------------
+// Max-Heap hash reference equivalence: the production MaxHeapSet and
+// SetAssociativeHash must agree with the original implementation
+// operation for operation — the same survivors in the same order with
+// the same cost bits and traces, the same frame minimum, the same
+// counters and the same heap index vector — over random, tie-heavy,
+// recombination-heavy and eviction-heavy streams, frame after frame on
+// one instance so storage left over from earlier frames is read.
+// ---------------------------------------------------------------------
+
+/**
+ * Verbatim port of the original xorFoldHash: folds every 64 bits of the
+ * key, however few of them are set.
+ */
+std::uint32_t
+fullWidthXorFold(std::uint64_t key, unsigned index_bits)
+{
+    if (index_bits == 0)
+        return 0; // a single set/entry: everything maps to it
+    std::uint64_t h = key;
+    for (unsigned shift = index_bits; shift < 64; shift += index_bits)
+        h ^= key >> shift;
+    return static_cast<std::uint32_t>(h & ((1ull << index_bits) - 1));
+}
+
+/**
+ * Verbatim port of the original MaxHeapSet: entries, heap index vector
+ * and maximum path in three heap-allocated vectors, the maximum path
+ * rebuilt after every mutation, a linear tag search.
+ */
+class ReferenceMaxHeapSet
+{
+  public:
+    explicit ReferenceMaxHeapSet(std::size_t ways)
+        : entries_(ways), size_(0)
+    {
+        ds_assert(ways >= 1 && ways <= 255);
+        heap_.reserve(ways);
+        maxPath_.reserve(8);
+    }
+
+    std::size_t capacity() const { return entries_.size(); }
+    std::size_t size() const { return size_; }
+    bool full() const { return size_ == capacity(); }
+
+    void
+    clear()
+    {
+        size_ = 0;
+        heap_.clear();
+        maxPath_.clear();
+    }
+
+    int
+    find(StateId state) const
+    {
+        for (std::size_t i = 0; i < size_; ++i) {
+            if (entries_[i].state == state)
+                return static_cast<int>(i);
+        }
+        return -1;
+    }
+
+    const Hypothesis &
+    entry(std::size_t i) const
+    {
+        ds_assert(i < size_);
+        return entries_[i];
+    }
+
+    float
+    worstCost() const
+    {
+        ds_assert(size_ > 0);
+        return entries_[heap_[0]].cost;
+    }
+
+    void
+    insert(const Hypothesis &hyp)
+    {
+        ds_assert(!full());
+        const auto slot = static_cast<std::uint8_t>(size_);
+        entries_[size_] = hyp;
+        heap_.push_back(slot);
+        ++size_;
+        siftUp(heap_.size() - 1);
+        rebuildMaxPath();
+    }
+
+    void
+    recombine(int slot, const Hypothesis &hyp)
+    {
+        ds_assert(slot >= 0 && static_cast<std::size_t>(slot) < size_);
+        ds_assert(entries_[slot].state == hyp.state);
+        ds_assert(hyp.cost <= entries_[slot].cost);
+        entries_[slot] = hyp;
+        for (std::size_t pos = 0; pos < heap_.size(); ++pos) {
+            if (heap_[pos] == slot) {
+                siftDown(pos);
+                break;
+            }
+        }
+        rebuildMaxPath();
+    }
+
+    void
+    replaceWorst(const Hypothesis &hyp)
+    {
+        ds_assert(full());
+        ds_assert(hyp.cost < worstCost());
+        ds_assert(!maxPath_.empty());
+        const std::uint8_t freed_slot = heap_[maxPath_[0]];
+
+        std::size_t depth = 1;
+        while (depth < maxPath_.size() &&
+               costAtHeap(maxPath_[depth]) > hyp.cost) {
+            ++depth;
+        }
+        for (std::size_t d = 1; d < depth; ++d)
+            heap_[maxPath_[d - 1]] = heap_[maxPath_[d]];
+        heap_[maxPath_[depth - 1]] = freed_slot;
+        entries_[freed_slot] = hyp;
+
+        rebuildMaxPath();
+    }
+
+    void
+    collect(std::vector<Hypothesis> &out) const
+    {
+        for (std::size_t i = 0; i < size_; ++i)
+            out.push_back(entries_[i]);
+    }
+
+    std::uint8_t heapIndex(std::size_t i) const { return heap_.at(i); }
+
+  private:
+    void
+    rebuildMaxPath()
+    {
+        maxPath_.clear();
+        if (heap_.empty())
+            return;
+        std::size_t pos = 0;
+        maxPath_.push_back(0);
+        while (true) {
+            const std::size_t left = 2 * pos + 1;
+            const std::size_t right = 2 * pos + 2;
+            if (left >= heap_.size())
+                break;
+            std::size_t next = left;
+            if (right < heap_.size() &&
+                costAtHeap(right) > costAtHeap(left))
+                next = right;
+            maxPath_.push_back(static_cast<std::uint8_t>(next));
+            pos = next;
+        }
+    }
+
+    void
+    siftDown(std::size_t pos)
+    {
+        while (true) {
+            const std::size_t left = 2 * pos + 1;
+            const std::size_t right = 2 * pos + 2;
+            std::size_t largest = pos;
+            if (left < heap_.size() &&
+                costAtHeap(left) > costAtHeap(largest)) {
+                largest = left;
+            }
+            if (right < heap_.size() &&
+                costAtHeap(right) > costAtHeap(largest)) {
+                largest = right;
+            }
+            if (largest == pos)
+                return;
+            std::swap(heap_[pos], heap_[largest]);
+            pos = largest;
+        }
+    }
+
+    void
+    siftUp(std::size_t pos)
+    {
+        while (pos > 0) {
+            const std::size_t parent = (pos - 1) / 2;
+            if (costAtHeap(parent) >= costAtHeap(pos))
+                return;
+            std::swap(heap_[pos], heap_[parent]);
+            pos = parent;
+        }
+    }
+
+    float
+    costAtHeap(std::size_t pos) const
+    {
+        return entries_[heap_[pos]].cost;
+    }
+
+    std::vector<Hypothesis> entries_;
+    std::vector<std::uint8_t> heap_;
+    std::vector<std::uint8_t> maxPath_;
+    std::size_t size_;
+};
+
+/**
+ * Verbatim port of the original SetAssociativeHash: a vector of
+ * ReferenceMaxHeapSet, indexed by the full-width fold.
+ */
+class ReferenceSetAssociativeHash : public HypothesisSelector
+{
+  public:
+    ReferenceSetAssociativeHash(std::size_t entries, std::size_t ways)
+        : ways_(ways)
+    {
+        ds_assert(ways >= 1);
+        ds_assert(entries % ways == 0);
+        const std::size_t set_count = entries / ways;
+        ds_assert(isPowerOfTwo(set_count));
+        indexBits_ = floorLog2(set_count);
+        sets_.reserve(set_count);
+        for (std::size_t i = 0; i < set_count; ++i)
+            sets_.emplace_back(ways);
+        name_ = std::to_string(ways) + "-way-hash-" +
+            std::to_string(entries);
+    }
+
+    void
+    beginFrame() override
+    {
+        stats_ = SelectorFrameStats{};
+        for (auto &set : sets_)
+            set.clear();
+    }
+
+    void
+    insert(const Hypothesis &hyp) override
+    {
+        ++stats_.insertions;
+        ReferenceMaxHeapSet &set =
+            sets_[fullWidthXorFold(hyp.state, indexBits_)];
+
+        const int slot = set.find(hyp.state);
+        if (slot >= 0) {
+            ++stats_.recombinations;
+            if (hyp.cost < set.entry(static_cast<std::size_t>(slot)).cost)
+                set.recombine(slot, hyp);
+            return;
+        }
+        if (!set.full()) {
+            set.insert(hyp);
+            return;
+        }
+        if (hyp.cost < set.worstCost()) {
+            ++stats_.evictions;
+            set.replaceWorst(hyp);
+        } else {
+            ++stats_.rejections;
+        }
+    }
+
+    float
+    finishFrame(std::vector<Hypothesis> &out) override
+    {
+        out.clear();
+        for (const auto &set : sets_)
+            set.collect(out);
+        stats_.survivors = out.size();
+        float best = std::numeric_limits<float>::infinity();
+        for (const auto &h : out)
+            best = std::min(best, h.cost);
+        return best;
+    }
+
+    using HypothesisSelector::finishFrame;
+    const char *name() const override { return name_.c_str(); }
+
+    std::size_t entries() const { return sets_.size() * ways_; }
+    std::size_t ways() const { return ways_; }
+
+  private:
+    std::size_t ways_;
+    unsigned indexBits_;
+    std::vector<ReferenceMaxHeapSet> sets_;
+    std::string name_;
+};
+
+enum class HeapStream { Random, TieHeavy, RecombinationHeavy, EvictionHeavy };
+
+/**
+ * One frame's offers for a table of `entries` hypotheses. Frames may be
+ * empty. Tie-heavy costs come from a handful of values (signed zeros
+ * included), so the heap's tie order decides evictions and the frame
+ * minimum's bits depend on the survivor walk order; recombination-heavy
+ * streams revisit a few states; eviction-heavy streams offer fresh
+ * states at mostly falling costs, so most arrivals displace a root.
+ */
+std::vector<Hypothesis>
+heapStream(HeapStream kind, Rng &rng, std::size_t entries)
+{
+    static constexpr float kTieCosts[] = {-0.0f, 0.0f, 2.5f, 7.0f, 11.0f};
+    const std::size_t count = rng.below(6 * entries + 8);
+    std::vector<Hypothesis> offers(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        Hypothesis &h = offers[i];
+        h.trace = static_cast<std::uint32_t>(rng.next());
+        switch (kind) {
+          case HeapStream::Random:
+            // Mostly dense ids; some use all 32 bits of the key.
+            h.state = rng.chance(0.1)
+                ? static_cast<StateId>(rng.next())
+                : static_cast<StateId>(rng.below(4 * entries + 16));
+            h.cost = static_cast<float>(rng.uniform(0.0, 1000.0));
+            break;
+          case HeapStream::TieHeavy:
+            h.state = static_cast<StateId>(rng.below(3 * entries + 8));
+            h.cost = kTieCosts[rng.below(std::size(kTieCosts))];
+            break;
+          case HeapStream::RecombinationHeavy:
+            h.state = static_cast<StateId>(rng.below(entries / 2 + 2));
+            h.cost = static_cast<float>(rng.uniform(0.0, 100.0));
+            break;
+          case HeapStream::EvictionHeavy:
+            h.state = static_cast<StateId>(rng.next() >> 40);
+            h.cost = static_cast<float>(count - i) +
+                static_cast<float>(rng.below(3));
+            break;
+        }
+    }
+    return offers;
+}
+
+void
+expectSameHypothesis(const Hypothesis &got, const Hypothesis &want,
+                     const std::string &where)
+{
+    ASSERT_EQ(got.state, want.state) << where;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.cost),
+              std::bit_cast<std::uint32_t>(want.cost))
+        << where;
+    ASSERT_EQ(got.trace, want.trace) << where;
+}
+
+void
+expectSameSet(const MaxHeapSet &got, const ReferenceMaxHeapSet &want,
+              const std::string &where)
+{
+    ASSERT_EQ(got.capacity(), want.capacity()) << where;
+    ASSERT_EQ(got.size(), want.size()) << where;
+    ASSERT_EQ(got.full(), want.full()) << where;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got.heapIndex(i), want.heapIndex(i))
+            << where << " heap position " << i;
+        ASSERT_NO_FATAL_FAILURE(expectSameHypothesis(
+            got.entry(i), want.entry(i),
+            where + " slot " + std::to_string(i)));
+    }
+    if (want.size() > 0) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got.worstCost()),
+                  std::bit_cast<std::uint32_t>(want.worstCost()))
+            << where;
+    }
+    ASSERT_TRUE(got.heapValid()) << where;
+}
+
+class MaxHeapSetReferenceProperty
+    : public ::testing::TestWithParam<std::size_t>
+{};
+
+TEST_P(MaxHeapSetReferenceProperty, EveryOperationMatchesReference)
+{
+    const std::size_t ways = GetParam();
+    Rng rng(3000 + ways);
+    MaxHeapSet set(ways);
+    ReferenceMaxHeapSet reference(ways);
+    std::size_t replacements = 0, recombinations = 0;
+    for (int frame = 0; frame < 60; ++frame) {
+        const auto kind = static_cast<HeapStream>(frame % 4);
+        const auto offers = heapStream(kind, rng, ways);
+        for (std::size_t i = 0; i < offers.size(); ++i) {
+            const Hypothesis &h = offers[i];
+            const std::string where = "frame " + std::to_string(frame) +
+                " offer " + std::to_string(i);
+            const int slot = reference.find(h.state);
+            ASSERT_EQ(set.find(h.state), slot) << where;
+            if (slot >= 0) {
+                if (h.cost <
+                    reference.entry(static_cast<std::size_t>(slot)).cost) {
+                    set.recombine(slot, h);
+                    reference.recombine(slot, h);
+                    ++recombinations;
+                }
+            } else if (!reference.full()) {
+                set.insert(h);
+                reference.insert(h);
+            } else if (h.cost < reference.worstCost()) {
+                set.replaceWorst(h);
+                reference.replaceWorst(h);
+                ++replacements;
+            }
+            ASSERT_NO_FATAL_FAILURE(expectSameSet(set, reference, where));
+        }
+        std::vector<Hypothesis> got, want;
+        set.collect(got);
+        reference.collect(want);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_NO_FATAL_FAILURE(expectSameHypothesis(
+                got[i], want[i], "collected " + std::to_string(i)));
+        }
+        // A cleared set finds none of the states it held.
+        set.clear();
+        reference.clear();
+        ASSERT_NO_FATAL_FAILURE(expectSameSet(set, reference, "cleared"));
+        for (const auto &h : want)
+            ASSERT_EQ(set.find(h.state), -1);
+    }
+    EXPECT_GT(replacements, 0u);
+    EXPECT_GT(recombinations, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Associativities, MaxHeapSetReferenceProperty,
+                         ::testing::Values(1, 2, 3, 4, 7, 8, 16));
+
+/** (entries, ways). */
+class MaxHeapHashReferenceProperty
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>>
+{};
+
+TEST_P(MaxHeapHashReferenceProperty, EveryFrameMatchesReference)
+{
+    const auto [entries, ways] = GetParam();
+    Rng rng(entries * 977 + ways);
+    SetAssociativeHash hash(entries, ways);
+    ReferenceSetAssociativeHash reference(entries, ways);
+    EXPECT_STREQ(hash.name(), reference.name());
+    EXPECT_EQ(hash.entries(), reference.entries());
+    EXPECT_EQ(hash.ways(), reference.ways());
+
+    // One survivor buffer per selector, reused across frames the way
+    // the decoder reuses its own.
+    std::vector<Hypothesis> got, want;
+    SelectorFrameStats totals;
+    for (int frame = 0; frame < 32; ++frame) {
+        const auto kind = static_cast<HeapStream>(rng.below(4));
+        const auto offers = heapStream(kind, rng, entries);
+        hash.beginFrame();
+        reference.beginFrame();
+        for (const auto &h : offers) {
+            hash.insert(h);
+            reference.insert(h);
+        }
+        const float want_best = reference.finishFrame(want);
+        const SelectorFrameStats &w = reference.frameStats();
+        totals.merge(w);
+        // A second close of the same frame must repeat the first.
+        for (int close = 0; close < 2; ++close) {
+            const std::string where = "frame " + std::to_string(frame) +
+                " close " + std::to_string(close);
+            const float best = hash.finishFrame(got);
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(best),
+                      std::bit_cast<std::uint32_t>(want_best))
+                << where;
+            ASSERT_EQ(got.size(), want.size()) << where;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                ASSERT_NO_FATAL_FAILURE(expectSameHypothesis(
+                    got[i], want[i],
+                    where + " survivor " + std::to_string(i)));
+            }
+            const SelectorFrameStats &g = hash.frameStats();
+            ASSERT_EQ(g.insertions, w.insertions) << where;
+            ASSERT_EQ(g.recombinations, w.recombinations) << where;
+            ASSERT_EQ(g.collisions, w.collisions) << where;
+            ASSERT_EQ(g.backupAccesses, w.backupAccesses) << where;
+            ASSERT_EQ(g.overflowAccesses, w.overflowAccesses) << where;
+            ASSERT_EQ(g.evictions, w.evictions) << where;
+            ASSERT_EQ(g.rejections, w.rejections) << where;
+            ASSERT_EQ(g.survivors, w.survivors) << where;
+        }
+    }
+    // The streams reached every insert outcome.
+    EXPECT_GT(totals.recombinations, 0u);
+    EXPECT_GT(totals.evictions, 0u);
+    EXPECT_GT(totals.rejections, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, MaxHeapHashReferenceProperty,
+    ::testing::Values(
+        // One set, then many, for every associativity.
+        std::make_tuple(1, 1), std::make_tuple(64, 1),
+        std::make_tuple(2, 2), std::make_tuple(16, 2),
+        std::make_tuple(3, 3), std::make_tuple(12, 3),
+        std::make_tuple(4, 4), std::make_tuple(64, 4),
+        std::make_tuple(7, 7), std::make_tuple(28, 7),
+        std::make_tuple(8, 8), std::make_tuple(256, 8),
+        std::make_tuple(1024, 8), std::make_tuple(16, 16),
+        std::make_tuple(64, 16)));
 
 // ---------------------------------------------------------------------
 // CacheModel: geometry sweep; sequential streams larger than the cache
@@ -392,7 +895,8 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(96 * 1024, 6, 128)));
 
 // ---------------------------------------------------------------------
-// xorFoldHash: every index width covers its whole range on dense keys.
+// xorFoldHash: every index width covers its whole range on dense keys,
+// and equals the full-width fold on keys of every length.
 // ---------------------------------------------------------------------
 
 class XorFoldProperty : public ::testing::TestWithParam<unsigned>
@@ -411,8 +915,25 @@ TEST_P(XorFoldProperty, CoversRangeAndStaysInBounds)
     EXPECT_GT(seen.size(), buckets * 9 / 10);
 }
 
+TEST_P(XorFoldProperty, MatchesFullWidthFold)
+{
+    // The fold stops once the key's remaining bits are all zero; the
+    // index must equal folding all 64 bits, for keys of every length.
+    const unsigned bits = GetParam();
+    Rng rng(4000 + bits);
+    for (std::uint64_t key : {0ull, 1ull, ~0ull, 1ull << 63}) {
+        ASSERT_EQ(xorFoldHash(key, bits), fullWidthXorFold(key, bits))
+            << "key " << key;
+    }
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t key = rng.next() >> rng.below(64);
+        ASSERT_EQ(xorFoldHash(key, bits), fullWidthXorFold(key, bits))
+            << "key " << key;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(IndexWidths, XorFoldProperty,
-                         ::testing::Values(1, 2, 4, 7, 10, 12, 15));
+                         ::testing::Range(0u, 21u));
 
 // ---------------------------------------------------------------------
 // Edit distance: metric-style properties on random sequences.

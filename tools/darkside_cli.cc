@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -30,6 +31,7 @@
 #include "decoder/search_telemetry.hh"
 #include "fault/fault.hh"
 #include "nbest/adaptive_selectors.hh"
+#include "nbest/selectors.hh"
 #include "serve/serve_bench.hh"
 #include "serve/serve_checkpoint.hh"
 #include "store/checkpoint.hh"
@@ -37,6 +39,7 @@
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 #include "util/argparse.hh"
+#include "util/bits.hh"
 #include "util/text_table.hh"
 
 using namespace darkside;
@@ -139,6 +142,47 @@ modeFrom(const std::string &name)
     fatal("unknown search mode '%s' "
           "(use baseline|beam|nbest|rel|adaptive)",
           name.c_str());
+}
+
+/**
+ * Parse a `decode --selector` spec into a selector factory. Runs before
+ * any model is built or loaded, so a spec that names no selector the
+ * program can build — a Max-Heap hash geometry the hash cannot hold
+ * included — exits 1 with `fatal: bad --selector` right away.
+ */
+std::function<std::unique_ptr<HypothesisSelector>()>
+selectorFactory(const std::string &spec, const ExperimentSetup &setup)
+{
+    if (spec == "unbounded") {
+        const ViterbiAccelConfig &unfold = setup.platform.viterbiBaseline;
+        return [direct = unfold.hashEntries, backup = unfold.backupEntries] {
+            return std::make_unique<UnboundedSelector>(direct, backup);
+        };
+    }
+    unsigned n = 0, ways = 8;
+    if (std::sscanf(spec.c_str(), "nbest:%u:%u", &n, &ways) >= 1 &&
+        ways >= 1 && ways <= MaxHeapSet::kMaxWays && n % ways == 0 &&
+        isPowerOfTwo(n / ways)) {
+        return [=] { return std::make_unique<SetAssociativeHash>(n, ways); };
+    }
+    if (std::sscanf(spec.c_str(), "accurate:%u", &n) == 1 && n > 0)
+        return [=] { return std::make_unique<AccurateNBest>(n); };
+    float margin = 0.0f, max_margin = 0.0f;
+    if (std::sscanf(spec.c_str(), "rel:%f:%u", &margin, &n) == 2 &&
+        margin > 0.0f && n > 0) {
+        return [=] {
+            return std::make_unique<RelativeThresholdSelector>(margin, n);
+        };
+    }
+    if (std::sscanf(spec.c_str(), "adaptive:%f:%f", &margin,
+                    &max_margin) == 2 &&
+        margin > 0.0f && max_margin >= margin) {
+        return [=] {
+            return std::make_unique<AdaptiveBeamSelector>(margin,
+                                                          max_margin);
+        };
+    }
+    fatal("bad --selector '%s'", spec.c_str());
 }
 
 /** Parse a comma-separated search-mode list ("baseline,rel,..."). */
@@ -304,8 +348,9 @@ cmdDecode(int argc, const char *const *argv)
     addSetupFlags(args);
     args.addOption("prune", "pruning level (none|70|80|90)", "none");
     args.addOption("selector",
-                   "unbounded | nbest:<N>:<ways> | accurate:<N> | "
-                   "rel:<margin>:<cap> | adaptive:<min>:<max>",
+                   "unbounded | nbest:<N>:<ways> (1-16 ways, N/ways a "
+                   "power of two) | accurate:<N> | rel:<margin>:<cap> | "
+                   "adaptive:<min>:<max>",
                    "unbounded");
     args.addOption("transcripts",
                    "write one per-utterance transcript line here", "");
@@ -314,41 +359,14 @@ cmdDecode(int argc, const char *const *argv)
         return 1;
 
     const ExperimentSetup setup = setupFrom(args);
-    ExperimentContext ctx(setup);
+    // Flags are checked before the models are built or loaded.
     const PruneLevel level = levelFrom(args.get("prune"));
+    const auto make_selector =
+        selectorFactory(args.get("selector"), setup);
+    ExperimentContext ctx(setup);
     float beam = static_cast<float>(args.getNumber("beam"));
     if (beam <= 0.0f)
         beam = setup.baselineBeam;
-
-    auto make_selector =
-        [&]() -> std::unique_ptr<HypothesisSelector> {
-        const std::string &spec = args.get("selector");
-        if (spec == "unbounded") {
-            return std::make_unique<UnboundedSelector>(
-                setup.platform.viterbiBaseline.hashEntries,
-                setup.platform.viterbiBaseline.backupEntries);
-        }
-        unsigned n = 0, ways = 8;
-        if (std::sscanf(spec.c_str(), "nbest:%u:%u", &n, &ways) >= 1 &&
-            n > 0) {
-            return std::make_unique<SetAssociativeHash>(n, ways);
-        }
-        if (std::sscanf(spec.c_str(), "accurate:%u", &n) == 1 && n > 0)
-            return std::make_unique<AccurateNBest>(n);
-        float margin = 0.0f, max_margin = 0.0f;
-        if (std::sscanf(spec.c_str(), "rel:%f:%u", &margin, &n) == 2 &&
-            margin > 0.0f && n > 0) {
-            return std::make_unique<RelativeThresholdSelector>(margin,
-                                                               n);
-        }
-        if (std::sscanf(spec.c_str(), "adaptive:%f:%f", &margin,
-                        &max_margin) == 2 &&
-            margin > 0.0f && max_margin >= margin) {
-            return std::make_unique<AdaptiveBeamSelector>(margin,
-                                                          max_margin);
-        }
-        fatal("bad --selector '%s'", spec.c_str());
-    };
 
     // One compiled engine for the whole test set; each decode feeds
     // the telemetry observer, so --metrics captures both stages.
