@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "fault/fault.hh"
+#include "store/pod_codec.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 #include "util/bits.hh"
@@ -13,46 +14,6 @@
 namespace darkside {
 
 namespace {
-
-// Same POD framing as the sweep checkpoint units (asr_system.cc): a
-// journal unit must parse all-or-nothing, so a torn or stale unit is
-// recomputed instead of half-replayed.
-
-template <typename T>
-void
-appendPod(std::string &out, const T &v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-void
-appendString(std::string &out, const std::string &s)
-{
-    appendPod<std::uint64_t>(out, s.size());
-    out.append(s);
-}
-
-template <typename T>
-bool
-consumePod(const std::string &in, std::size_t &offset, T &v)
-{
-    if (in.size() - offset < sizeof(T))
-        return false;
-    std::memcpy(&v, in.data() + offset, sizeof(T));
-    offset += sizeof(T);
-    return true;
-}
-
-bool
-consumeString(const std::string &in, std::size_t &offset, std::string &s)
-{
-    std::uint64_t len = 0;
-    if (!consumePod(in, offset, len) || in.size() - offset < len)
-        return false;
-    s.assign(in, offset, static_cast<std::size_t>(len));
-    offset += static_cast<std::size_t>(len);
-    return true;
-}
 
 void
 bumpServeDrainCounter(const char *name, const char *unit)
@@ -190,8 +151,10 @@ ServeCheckpoint::loadSession(std::size_t index,
         return std::nullopt;
 
     // All-or-nothing: the delta is applied only after the whole unit
-    // parsed and matched its key.
-    telemetry::MetricRegistry::global().apply(delta.value());
+    // parsed and matched its key, and the registry refuses a delta
+    // that disagrees with it without touching anything.
+    if (!telemetry::MetricRegistry::global().apply(delta.value()))
+        return std::nullopt;
     bumpServeDrainCounter("serve.drain.resumed_sessions", "sessions");
     return o;
 }

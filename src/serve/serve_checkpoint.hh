@@ -103,7 +103,8 @@ class ServeCheckpoint
      * stored telemetry delta is applied to the global registry, the
      * outcome is returned, and serve.drain.resumed_sessions is
      * counted. Returns nullopt — caller recomputes — when the unit is
-     * absent, quarantined, or bound to a different session key.
+     * absent, quarantined, bound to a different session key, or
+     * carries a delta the registry refuses (MetricRegistry::apply).
      */
     std::optional<SessionOutcome>
     loadSession(std::size_t index, std::uint64_t sessionKey) const;

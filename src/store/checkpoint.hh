@@ -13,6 +13,7 @@
 #ifndef DARKSIDE_STORE_CHECKPOINT_HH
 #define DARKSIDE_STORE_CHECKPOINT_HH
 
+#include <functional>
 #include <string>
 
 #include "store/artifact_store.hh"
@@ -40,16 +41,25 @@ class RunCheckpoint
     }
 
     /**
-     * Load a completed unit's payload. A verified load counts
-     * store.resumed_units; an absent or quarantined unit is a Status
-     * error and the caller recomputes it.
+     * Load a completed unit's payload and hand it to `replay`, if
+     * given. A verified load that `replay` accepts counts
+     * store.resumed_units; an absent or quarantined unit, or one
+     * `replay` refuses, is a Status error and the caller recomputes
+     * it.
      */
     Result<std::string>
-    loadUnit(const std::string &unitId) const
+    loadUnit(const std::string &unitId,
+             const std::function<Status(const std::string &)> &replay =
+                 nullptr) const
     {
         auto payload = store_.read(unitFileName(unitId), kUnitKind);
-        if (payload.isOk())
-            noteResumedUnit();
+        if (!payload.isOk())
+            return payload;
+        if (replay) {
+            if (Status replayed = replay(payload.value()); !replayed)
+                return replayed;
+        }
+        noteResumedUnit();
         return payload;
     }
 

@@ -7,6 +7,7 @@
 #include "decoder/watchdog.hh"
 #include "nbest/adaptive_selectors.hh"
 #include "fault/fault.hh"
+#include "store/pod_codec.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 #include "util/bits.hh"
@@ -71,42 +72,6 @@ outcomeOf(UtteranceRun &&run)
 }
 
 // --- checkpoint unit payload (outcomes + telemetry delta) ---------------
-
-template <typename T>
-void
-appendPod(std::string &out, const T &v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-void
-appendString(std::string &out, const std::string &s)
-{
-    appendPod<std::uint64_t>(out, s.size());
-    out.append(s);
-}
-
-template <typename T>
-bool
-consumePod(const std::string &in, std::size_t &offset, T &v)
-{
-    if (in.size() - offset < sizeof(T))
-        return false;
-    std::memcpy(&v, in.data() + offset, sizeof(T));
-    offset += sizeof(T);
-    return true;
-}
-
-bool
-consumeString(const std::string &in, std::size_t &offset, std::string &s)
-{
-    std::uint64_t len = 0;
-    if (!consumePod(in, offset, len) || in.size() - offset < len)
-        return false;
-    s.assign(in, offset, static_cast<std::size_t>(len));
-    offset += static_cast<std::size_t>(len);
-    return true;
-}
 
 /**
  * Key binding a checkpoint unit to its exact inputs: the configuration
@@ -173,11 +138,12 @@ encodeUnit(std::uint64_t inputsKey,
 
 /**
  * Decode a unit payload into its slice of the outcome vector and
- * replay its telemetry delta. False (journal unit unusable, caller
- * recomputes) on any structural mismatch — wrong inputs key, wrong
- * batch size, truncated record, unparseable delta.
+ * replay its telemetry delta. An error (journal unit unusable, caller
+ * recomputes) on any mismatch — wrong inputs key, wrong batch size,
+ * truncated record, unparseable delta, or a delta the registry
+ * refuses.
  */
-bool
+Status
 decodeUnit(const std::string &payload, std::uint64_t expectedKey,
            std::vector<UtteranceOutcome> &outcomes, std::size_t begin,
            std::size_t end)
@@ -187,10 +153,10 @@ decodeUnit(const std::string &payload, std::uint64_t expectedKey,
     std::uint64_t count = 0;
     if (!consumePod(payload, offset, key) ||
         !consumePod(payload, offset, count)) {
-        return false;
+        return Status::error("truncated record");
     }
     if (key != expectedKey || count != end - begin)
-        return false;
+        return Status::error("bound to other inputs");
 
     std::vector<UtteranceOutcome> decoded(count);
     for (auto &o : decoded) {
@@ -209,7 +175,7 @@ decodeUnit(const std::string &payload, std::uint64_t expectedKey,
             !consumePod(payload, offset, word_count) ||
             payload.size() - offset <
                 word_count * sizeof(std::uint32_t)) {
-            return false;
+            return Status::error("truncated record");
         }
         o.degraded = degraded != 0;
         o.words.resize(static_cast<std::size_t>(word_count));
@@ -222,18 +188,22 @@ decodeUnit(const std::string &payload, std::uint64_t expectedKey,
     std::string delta_json;
     if (!consumeString(payload, offset, delta_json) ||
         offset != payload.size()) {
-        return false;
+        return Status::error("truncated record");
     }
     auto delta = telemetry::Snapshot::parseJson(delta_json);
     if (!delta.isOk())
-        return false;
+        return delta.status();
 
-    // All-or-nothing: state is touched only after the whole unit
-    // parsed, so a bad unit cannot leave half a batch replayed.
+    // All-or-nothing: the registry refuses a disagreeing delta whole,
+    // and the outcomes move only after it accepted, so a bad unit
+    // cannot leave half a batch replayed.
+    if (Status applied =
+            telemetry::MetricRegistry::global().apply(delta.value());
+        !applied)
+        return applied;
     for (std::size_t i = begin; i < end; ++i)
         outcomes[i] = std::move(decoded[i - begin]);
-    telemetry::MetricRegistry::global().apply(delta.value());
-    return true;
+    return Status::ok();
 }
 
 } // namespace
@@ -587,15 +557,15 @@ AsrSystem::runTestSet(const std::vector<Utterance> &utts,
                 inputsKeyOf(config, utts, begin, end);
 
             if (checkpoint->hasUnit(unit_id)) {
-                auto payload = checkpoint->loadUnit(unit_id);
-                if (payload.isOk() &&
-                    decodeUnit(payload.value(), key, outcomes, begin,
-                               end)) {
+                const auto replayed = checkpoint->loadUnit(
+                    unit_id, [&](const std::string &payload) {
+                        return decodeUnit(payload, key, outcomes, begin,
+                                          end);
+                    });
+                if (replayed.isOk())
                     continue;
-                }
-                warn("checkpoint: unit '%s' unusable%s%s; recomputing",
-                     unit_id.c_str(), payload.isOk() ? "" : ": ",
-                     payload.isOk() ? "" : payload.message().c_str());
+                warn("checkpoint: unit '%s' unusable: %s; recomputing",
+                     unit_id.c_str(), replayed.message().c_str());
             }
 
             // Snapshots are taken at quiescence: computeRange joins

@@ -1,8 +1,10 @@
 #include "telemetry/metrics.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 
+#include "telemetry/metric_spec.hh"
 #include "telemetry/snapshot.hh"
 #include "util/logging.hh"
 
@@ -208,23 +210,79 @@ MetricRegistry::histObserve(std::uint32_t id, double x)
 
 // --- registration -------------------------------------------------------
 
+namespace {
+
+void
+orPanic(const Status &status)
+{
+    if (!status)
+        panic("%s", status.message().c_str());
+}
+
+Status
+registeredAs(const std::string &name, const std::string &unit,
+             bool deterministic, const std::string &range = "")
+{
+    return Status::error("metric '" + name + "' is registered with unit '" +
+                         unit + "'" + range + ", " +
+                         flagName(deterministic));
+}
+
+} // namespace
+
+Status
+MetricRegistry::checkCounter(const std::string &name,
+                             const std::string &unit,
+                             bool deterministic) const
+{
+    auto it = counterIndex_.find(name);
+    if (it == counterIndex_.end())
+        return checkMetric(name, MetricKind::Counter, unit, deterministic);
+    const CounterInfo &info = counters_[it->second];
+    if (info.unit == unit && info.deterministic == deterministic)
+        return Status::ok();
+    return registeredAs(name, info.unit, info.deterministic);
+}
+
+Status
+MetricRegistry::checkHistogram(const std::string &name,
+                               const std::string &unit,
+                               const HistogramSpec &spec,
+                               bool deterministic) const
+{
+    if (spec.buckets == 0 || !(spec.lo < spec.hi)) {
+        return Status::error("metric '" + name +
+                             "' has an empty bucket range");
+    }
+    auto it = histIndex_.find(name);
+    if (it == histIndex_.end()) {
+        return checkMetric(name, MetricKind::Histogram, unit,
+                           deterministic);
+    }
+    const HistogramInfo &info = hists_[it->second];
+    if (info.unit == unit && info.deterministic == deterministic &&
+        info.spec.lo == spec.lo && info.spec.hi == spec.hi &&
+        info.spec.buckets == spec.buckets)
+        return Status::ok();
+    char range[96];
+    std::snprintf(range, sizeof(range), " over [%g, %g) in %zu buckets",
+                  info.spec.lo, info.spec.hi, info.spec.buckets);
+    return registeredAs(name, info.unit, info.deterministic, range);
+}
+
 Counter
 MetricRegistry::counter(const std::string &name, const std::string &unit,
                         bool deterministic)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = counterIndex_.find(name);
-    if (it != counterIndex_.end()) {
-        const CounterInfo &info = counters_[it->second];
-        ds_assert(info.unit == unit);
-        ds_assert(info.deterministic == deterministic);
-        return Counter(this, it->second);
+    orPanic(checkCounter(name, unit, deterministic));
+    const auto [it, added] = counterIndex_.try_emplace(
+        name, static_cast<std::uint32_t>(counters_.size()));
+    if (added) {
+        ds_assert(counters_.size() < kMaxCounters);
+        counters_.push_back({name, unit, deterministic});
     }
-    ds_assert(counters_.size() < kMaxCounters);
-    const auto id = static_cast<std::uint32_t>(counters_.size());
-    counters_.push_back({name, unit, deterministic});
-    counterIndex_.emplace(name, id);
-    return Counter(this, id);
+    return Counter(this, it->second);
 }
 
 Histogram
@@ -232,22 +290,27 @@ MetricRegistry::histogram(const std::string &name,
                           const std::string &unit,
                           const HistogramSpec &spec, bool deterministic)
 {
-    ds_assert(spec.buckets > 0);
-    ds_assert(spec.lo < spec.hi);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = histIndex_.find(name);
-    if (it != histIndex_.end()) {
-        const HistogramInfo &info = hists_[it->second];
-        ds_assert(info.unit == unit);
-        ds_assert(info.spec.buckets == spec.buckets);
-        ds_assert(info.deterministic == deterministic);
-        return Histogram(this, it->second);
+    orPanic(checkHistogram(name, unit, spec, deterministic));
+    const auto [it, added] = histIndex_.try_emplace(
+        name, static_cast<std::uint32_t>(hists_.size()));
+    if (added) {
+        ds_assert(hists_.size() < kMaxHistograms);
+        hists_.push_back({name, unit, spec, deterministic});
     }
-    ds_assert(hists_.size() < kMaxHistograms);
-    const auto id = static_cast<std::uint32_t>(hists_.size());
-    hists_.push_back({name, unit, spec, deterministic});
-    histIndex_.emplace(name, id);
-    return Histogram(this, id);
+    return Histogram(this, it->second);
+}
+
+MetricRegistry::Gauge &
+MetricRegistry::gauge(const std::string &name, const std::string &unit)
+{
+    auto it = gauges_.find(name);
+    if (it == gauges_.end()) {
+        orPanic(checkMetric(name, MetricKind::Gauge, unit, true));
+        it = gauges_.emplace(name, Gauge{}).first;
+    }
+    it->second.unit = unit;
+    return it->second;
 }
 
 void
@@ -255,7 +318,7 @@ MetricRegistry::setGauge(const std::string &name, const std::string &unit,
                          double value)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    gauges_[name] = {unit, value};
+    gauge(name, unit).value = value;
 }
 
 void
@@ -263,14 +326,27 @@ MetricRegistry::addGauge(const std::string &name, const std::string &unit,
                          double delta)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    Gauge &g = gauges_[name];
-    g.unit = unit;
-    g.value += delta;
+    gauge(name, unit).value += delta;
 }
 
-void
+Status
 MetricRegistry::apply(const Snapshot &delta)
 {
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &c : delta.counters) {
+            if (Status s = checkCounter(c.name, c.unit, c.deterministic); !s)
+                return s;
+        }
+        for (const auto &h : delta.histograms) {
+            const HistogramSpec spec{h.lo, h.hi, h.buckets.size()};
+            if (Status s = checkHistogram(h.name, h.unit, spec,
+                                          h.deterministic);
+                !s)
+                return s;
+        }
+    }
+
     for (const auto &c : delta.counters) {
         // Registration is the point even when the delta is zero: a
         // replayed unit must leave the same metric names behind as
@@ -302,6 +378,7 @@ MetricRegistry::apply(const Snapshot &delta)
             atomicMax(hs.max, h.max);
         }
     }
+    return Status::ok();
 }
 
 // --- snapshot / reset ---------------------------------------------------

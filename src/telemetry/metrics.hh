@@ -46,6 +46,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/status.hh"
+
 namespace darkside {
 namespace telemetry {
 
@@ -144,8 +146,11 @@ class ScopedTimer
  *
  * Registration (counter()/histogram()) takes a mutex and is idempotent:
  * re-registering a name returns the existing metric (the unit, spec and
- * determinism flag must match). Recording through the returned handles
- * is lock-free after the calling thread's first touch.
+ * determinism flag must match). A name new to the registry must agree
+ * with the metric table (telemetry/metric_spec.hh) when it falls under
+ * one of the table's families; a mismatch panics and names the metric.
+ * Recording through the returned handles is lock-free after the
+ * calling thread's first touch.
  */
 class MetricRegistry
 {
@@ -202,8 +207,14 @@ class MetricRegistry
      * producers republish them idempotently. This is how a resumed
      * run reproduces the telemetry of the work it skipped
      * (docs/STORE.md).
+     *
+     * Every entry is checked before any is registered: against the
+     * live registration of its name (unit, flag, histogram range and
+     * buckets), or for a new name against the metric table. A journal
+     * unit written by a build with another metric set fails here; the
+     * registry is left untouched and the caller recomputes the unit.
      */
-    void apply(const Snapshot &delta);
+    Status apply(const Snapshot &delta);
 
     /** Zero every value; registrations (names, specs) survive. */
     void reset();
@@ -248,6 +259,15 @@ class MetricRegistry
         ~Shard();
     };
 
+    /** Registering `name` this way agrees with its live registration,
+     *  or (a new name) with the metric table. Caller holds mutex_. */
+    Status checkCounter(const std::string &name, const std::string &unit,
+                        bool deterministic) const;
+    Status checkHistogram(const std::string &name,
+                          const std::string &unit,
+                          const HistogramSpec &spec,
+                          bool deterministic) const;
+
     void counterAdd(std::uint32_t id, std::uint64_t n);
     void histObserve(std::uint32_t id, double x);
     Shard &localShard();
@@ -264,6 +284,8 @@ class MetricRegistry
         std::string unit;
         double value = 0.0;
     };
+    /** Gauge `name`, table-checked when new. Caller holds mutex_. */
+    Gauge &gauge(const std::string &name, const std::string &unit);
     std::map<std::string, Gauge> gauges_;
 
     /** Shards live until reset()/destruction, surviving thread exit. */

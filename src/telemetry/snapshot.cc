@@ -317,24 +317,17 @@ Snapshot::parseJson(const std::string &text)
     for (const JsonValue &c : *counters.value()) {
         if (!c.isObject())
             return parseError("counter entry is not an object");
-        CounterSample s;
         auto name = stringMember(c, "name");
         auto unit = stringMember(c, "unit");
         auto det = boolMember(c, "deterministic");
         auto value = uintMember(c, "value");
-        if (!name.isOk())
-            return name.status();
-        if (!unit.isOk())
-            return unit.status();
-        if (!det.isOk())
-            return det.status();
-        if (!value.isOk())
-            return value.status();
-        s.name = name.take();
-        s.unit = unit.take();
-        s.deterministic = det.value();
-        s.value = value.value();
-        snap.counters.push_back(std::move(s));
+        for (const Status *st : {&name.status(), &unit.status(),
+                                 &det.status(), &value.status()}) {
+            if (!st->isOk())
+                return *st;
+        }
+        snap.counters.push_back(
+            {name.take(), unit.take(), det.value(), value.value()});
     }
 
     auto gauges = sectionOf("gauges");
@@ -343,20 +336,15 @@ Snapshot::parseJson(const std::string &text)
     for (const JsonValue &g : *gauges.value()) {
         if (!g.isObject())
             return parseError("gauge entry is not an object");
-        GaugeSample s;
         auto name = stringMember(g, "name");
         auto unit = stringMember(g, "unit");
         auto value = numberMember(g, "value");
-        if (!name.isOk())
-            return name.status();
-        if (!unit.isOk())
-            return unit.status();
-        if (!value.isOk())
-            return value.status();
-        s.name = name.take();
-        s.unit = unit.take();
-        s.value = value.value();
-        snap.gauges.push_back(std::move(s));
+        for (const Status *st :
+             {&name.status(), &unit.status(), &value.status()}) {
+            if (!st->isOk())
+                return *st;
+        }
+        snap.gauges.push_back({name.take(), unit.take(), value.value()});
     }
 
     auto hists = sectionOf("histograms");
@@ -365,7 +353,6 @@ Snapshot::parseJson(const std::string &text)
     for (const JsonValue &h : *hists.value()) {
         if (!h.isObject())
             return parseError("histogram entry is not an object");
-        HistogramSample s;
         auto name = stringMember(h, "name");
         auto unit = stringMember(h, "unit");
         auto det = boolMember(h, "deterministic");
@@ -384,16 +371,12 @@ Snapshot::parseJson(const std::string &text)
             if (!st->isOk())
                 return *st;
         }
-        s.name = name.take();
-        s.unit = unit.take();
-        s.deterministic = det.value();
-        s.lo = lo.value();
-        s.hi = hi.value();
-        s.count = count.value();
-        s.underflow = under.value();
-        s.overflow = over.value();
-        s.min = lo_sample.value();
-        s.max = hi_sample.value();
+        HistogramSample s{name.take(),   unit.take(),   det.value(),
+                          lo.value(),    hi.value(),    count.value(),
+                          under.value(), over.value(),  lo_sample.value(),
+                          hi_sample.value(), {}};
+        if (!(s.lo < s.hi))
+            return parseError(s.name + ": lo must be < hi");
         const JsonValue *buckets = h.member("buckets");
         if (!buckets || !buckets->isArray() ||
             buckets->asArray().empty())

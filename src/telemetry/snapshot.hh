@@ -98,7 +98,9 @@ struct Snapshot
     Snapshot withoutPrefixes(
         const std::vector<std::string> &prefixes) const;
 
-    /** Parse a darkside-metrics-v1 document back into a Snapshot. */
+    /** Parse a darkside-metrics-v1 document back into a Snapshot,
+     *  checking the schema, member types, histogram lo < hi and count
+     *  == underflow + overflow + sum(buckets). Keeps section order. */
     static Result<Snapshot> parseJson(const std::string &text);
 
     /** Sort all three sections by metric name (exporters require it). */

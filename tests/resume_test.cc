@@ -255,6 +255,49 @@ TEST(ResumeRun, StaleUnitsFromDifferentInputsAreRecomputed)
     EXPECT_EQ(counterValue("store.resumed_units"), resumed_mid + 3);
 }
 
+TEST(ResumeRun, UnitWhoseDeltaDisagreesWithTheRegistryIsRecomputed)
+{
+    const std::vector<Utterance> &utts = bigTestSet();
+    const SystemConfig config = baselineConfig();
+    const TestSetResult plain =
+        context().system.runTestSet(utts, config);
+
+    RunCheckpoint journal(freshRoot("disagreeing"));
+    context().system.runTestSet(utts, config, 2, &journal);
+
+    // Unit 1 as a build registering search.frames in another unit
+    // would have written it: a same-length edit inside its delta,
+    // recommitted through the store, so its frame and CRC verify and
+    // its inputs key matches.
+    const std::string name =
+        RunCheckpoint::unitFileName(unitId(config, utts.size(), 1));
+    auto payload = journal.store().read(name, RunCheckpoint::kUnitKind);
+    ASSERT_TRUE(payload.isOk()) << payload.message();
+    std::string edited = payload.value();
+    const std::string unit = "\"name\": \"search.frames\", \"unit\": ";
+    const auto at = edited.find(unit + "\"frames\"");
+    ASSERT_NE(at, std::string::npos);
+    edited.replace(at, unit.size() + 8, unit + "\"framez\"");
+    ASSERT_TRUE(journal.store()
+                    .write(name, RunCheckpoint::kUnitKind, edited)
+                    .isOk());
+
+    const std::uint64_t resumed_before =
+        counterValue("store.resumed_units");
+    const TestSetResult resumed =
+        context().system.runTestSet(utts, config, 4, &journal);
+    expectResultsIdentical(plain, resumed);
+    EXPECT_EQ(counterValue("store.resumed_units"), resumed_before + 2);
+
+    // The recomputed unit was re-committed: the next resume replays
+    // all three.
+    const std::uint64_t resumed_mid =
+        counterValue("store.resumed_units");
+    expectResultsIdentical(
+        plain, context().system.runTestSet(utts, config, 1, &journal));
+    EXPECT_EQ(counterValue("store.resumed_units"), resumed_mid + 3);
+}
+
 // ---------------------------------------------------------------------
 // Crash recovery of the model-zoo cache (store.torn_write mid-save).
 // ---------------------------------------------------------------------

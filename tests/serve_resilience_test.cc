@@ -30,6 +30,7 @@
 #include "serve/server.hh"
 #include "serve/traffic.hh"
 #include "system/defaults.hh"
+#include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 #include "util/json.hh"
 
@@ -340,6 +341,52 @@ TEST(ServeResilience, TornUnitQuarantinesAndRecomputes)
     // The recomputed session was re-journaled whole.
     EXPECT_TRUE(checkpoint.hasSession(1));
     EXPECT_EQ(std::filesystem::file_size(torn), size);
+}
+
+TEST(ServeResilience, UnitWhoseDeltaDisagreesWithTheRegistryRecomputes)
+{
+    auto &ctx = resilienceContext();
+    const auto events = makeEvents(4);
+    const ServeConfig serve = resilienceConfig();
+
+    TempRunDir dir;
+    ServeCheckpoint checkpoint(dir.path);
+    std::string reference;
+    {
+        StreamingServer server(ctx.system, serve, &checkpoint);
+        reference = runAll(server, events);
+    }
+
+    // Session 1's unit as a build registering the session ledger in
+    // another unit would have written it: a same-length edit inside
+    // its delta, recommitted through the store so it verifies.
+    const std::string name = ServeCheckpoint::sessionUnitName(1);
+    auto payload =
+        checkpoint.store().read(name, ServeCheckpoint::kSessionKind);
+    ASSERT_TRUE(payload.isOk()) << payload.message();
+    std::string edited = payload.value();
+    const std::string unit =
+        "\"name\": \"serve.sessions.completed\", \"unit\": ";
+    const auto at = edited.find(unit + "\"sessions\"");
+    ASSERT_NE(at, std::string::npos);
+    edited.replace(at, unit.size() + 10, unit + "\"sessionz\"");
+    ASSERT_TRUE(checkpoint.store()
+                    .write(name, ServeCheckpoint::kSessionKind, edited)
+                    .isOk());
+
+    const auto resumedCounter = [] {
+        const auto snap = telemetry::MetricRegistry::global().snapshot();
+        return snap.findCounter("serve.drain.resumed_sessions")->value;
+    };
+    const std::uint64_t resumed_before = resumedCounter();
+    ServeConfig resumeConfig = serve;
+    resumeConfig.resume = true;
+    StreamingServer server(ctx.system, resumeConfig, &checkpoint);
+    EXPECT_EQ(runAll(server, events), reference);
+    const ServeReport r = server.report();
+    EXPECT_TRUE(ledgerHolds(r));
+    EXPECT_EQ(r.resumedSessions, events.size() - 1);
+    EXPECT_EQ(resumedCounter(), resumed_before + events.size() - 1);
 }
 
 // ---------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -552,7 +553,7 @@ TEST(SnapshotDelta, ApplyReplaysCountersAndHistogramsExactly)
     auto rhist = replica.histogram("r.hist", "s", spec);
     rcount.add(5);
     rhist.observe(1.0);
-    replica.apply(delta);
+    ASSERT_TRUE(replica.apply(delta).isOk());
 
     const auto replayed = replica.snapshot();
     EXPECT_EQ(replayed.findCounter("r.count")->value, 12u);
@@ -567,6 +568,64 @@ TEST(SnapshotDelta, ApplyReplaysCountersAndHistogramsExactly)
     EXPECT_EQ(rh->overflow, sh->overflow);
     EXPECT_DOUBLE_EQ(rh->min, sh->min);
     EXPECT_DOUBLE_EQ(rh->max, sh->max);
+}
+
+TEST(SnapshotJson, ParseJsonRejectsAnEmptyHistogramRange)
+{
+    telemetry::MetricRegistry reg;
+    reg.histogram("r.hist", "s", {0.0, 8.0, 4}).observe(1.0);
+    std::string json = reg.snapshot().toJson();
+    const std::string range = "\"lo\": 0, \"hi\": 8";
+    const auto at = json.find(range);
+    ASSERT_NE(at, std::string::npos) << json;
+    json.replace(at, range.size(), "\"lo\": 8, \"hi\": 8");
+    const auto parsed = telemetry::Snapshot::parseJson(json);
+    ASSERT_FALSE(parsed.isOk());
+    EXPECT_NE(parsed.message().find("r.hist"), std::string::npos)
+        << parsed.message();
+}
+
+TEST(SnapshotDelta, ApplyRefusesADisagreeingDeltaWhole)
+{
+    const telemetry::HistogramSpec spec{0.0, 8.0, 4};
+    telemetry::MetricRegistry source;
+    source.counter("r.count", "items").add(3);
+    source.counter("r.new", "items").add(1);
+    source.histogram("r.hist", "s", spec).observe(1.0);
+    const telemetry::Snapshot good =
+        source.snapshot().deltaSince(telemetry::Snapshot{});
+
+    telemetry::MetricRegistry reg;
+    reg.counter("r.count", "items").add(5);
+    reg.histogram("r.hist", "s", spec).observe(2.0);
+    const std::string before = reg.snapshot().toJson();
+
+    using Edit = std::function<void(telemetry::Snapshot &)>;
+    const auto counter = [](telemetry::Snapshot &d) -> auto & {
+        return d.counters.front(); // r.count
+    };
+    const std::vector<Edit> edits = {
+        [&](auto &d) { counter(d).unit = "things"; },
+        [&](auto &d) { counter(d).deterministic = false; },
+        [](auto &d) { d.histograms.front().hi = 16.0; },
+        [](auto &d) { d.histograms.front().buckets.resize(8); },
+        // New names are held to the metric table instead.
+        [](auto &d) {
+            d.counters.push_back({"search.frames", "framez", true, 1});
+        },
+        [](auto &d) {
+            d.counters.push_back({"serve.chunk", "chunks", false, 1});
+        },
+    };
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        telemetry::Snapshot delta = good;
+        edits[i](delta);
+        EXPECT_FALSE(reg.apply(delta).isOk()) << "edit " << i;
+        // Not even the well-formed r.new got registered.
+        EXPECT_EQ(reg.snapshot().toJson(), before) << "edit " << i;
+    }
+    EXPECT_TRUE(reg.apply(good).isOk());
+    EXPECT_EQ(reg.snapshot().findCounter("r.count")->value, 8u);
 }
 
 TEST(SnapshotDelta, WithoutPrefixesDropsWholeNamespaces)

@@ -2,17 +2,22 @@
  * @file
  * Tests of the telemetry library: counter/histogram/timer semantics,
  * shard-merge determinism under a thread pool, exporter round-trips
- * through the JSON parser, and the deterministic-snapshot filter.
+ * through the JSON parser, the deterministic-snapshot filter, and the
+ * metric table: registration enforces it, and docs/METRICS.md lists
+ * each of its entries once.
  */
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "telemetry/metric_spec.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 #include "util/csv.hh"
@@ -299,6 +304,127 @@ TEST(Snapshot, CsvExportHasHeaderAndRows)
     EXPECT_NE(lines[1].find("counter"), std::string::npos);
     EXPECT_NE(lines[2].find("gauge"), std::string::npos);
     EXPECT_NE(lines[3].find("histogram"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// The metric table (telemetry/metric_spec.hh)
+// ---------------------------------------------------------------------
+
+TEST(MetricTable, EveryEntryIsUnderAFamilyAndMatchesOnlyItself)
+{
+    for (const MetricSpec &spec : metricSpecs()) {
+        EXPECT_NE(familyOf(spec.name), nullptr) << spec.name;
+        if (!spec.isPattern()) {
+            EXPECT_EQ(findMetricSpec(spec.name), &spec) << spec.name;
+        }
+    }
+    EXPECT_NE(findMetricSpec("accel.dnn.90.fc_utilization"), nullptr);
+    EXPECT_NE(findMetricSpec("fault.injected.decoder.decode"), nullptr);
+    EXPECT_EQ(findMetricSpec("accel.dnn..fc_utilization"), nullptr);
+}
+
+TEST(MetricTable, NamesUnderNoFamilyRegisterUnchecked)
+{
+    MetricRegistry reg;
+    reg.counter("t.count", "anything", false).add(1);
+    reg.histogram("t.hist", "whatever", {0.0, 1.0, 2}).observe(0.5);
+    reg.setGauge("t.gauge", "J", 1.0);
+    EXPECT_NE(reg.snapshot().findCounter("t.count"), nullptr);
+}
+
+TEST(MetricTable, ProbeCountersTakeTheirFlagFromTheProbe)
+{
+    // fault.injected.<probe> carries the probe registry's flag, which
+    // the table leaves to fault/ (and metrics_check) to check.
+    MetricRegistry reg;
+    reg.counter("fault.injected.decoder.decode", "faults", true);
+    reg.counter("fault.injected.pool.chunk", "faults", false);
+    EXPECT_EQ(reg.snapshot().counters.size(), 2u);
+}
+
+TEST(MetricTableDeathTest, MisspelledNameUnderAFamilyPanics)
+{
+    MetricRegistry reg;
+    EXPECT_DEATH(reg.counter("serve.chunk", "chunks", false),
+                 "metric 'serve\\.chunk' is not in the metric table");
+}
+
+TEST(MetricTableDeathTest, WrongUnitPanics)
+{
+    MetricRegistry reg;
+    EXPECT_DEATH(reg.counter("serve.chunks", "frames", false),
+                 "metric 'serve\\.chunks' has unit 'frames'");
+    EXPECT_DEATH(reg.setGauge("system.wer", "percent", 1.0),
+                 "metric 'system\\.wer' has unit 'percent'");
+}
+
+TEST(MetricTableDeathTest, WrongFlagPanics)
+{
+    MetricRegistry reg;
+    EXPECT_DEATH(reg.counter("serve.chunks", "chunks", true),
+                 "metric 'serve\\.chunks' is deterministic");
+}
+
+TEST(MetricTableDeathTest, WrongKindPanics)
+{
+    MetricRegistry reg;
+    EXPECT_DEATH(
+        reg.histogram("serve.chunks", "chunks", {0.0, 1.0, 2}, false),
+        "metric 'serve\\.chunks' is a counter in the metric table");
+}
+
+#ifndef DS_METRICS_DOC
+#error "DS_METRICS_DOC must point at docs/METRICS.md"
+#endif
+
+/** Cells of a markdown table row, trimmed. */
+std::vector<std::string>
+cells(const std::string &line)
+{
+    std::vector<std::string> out;
+    std::stringstream row(line.substr(1));
+    std::string cell;
+    while (std::getline(row, cell, '|')) {
+        const auto first = cell.find_first_not_of(' ');
+        const auto last = cell.find_last_not_of(' ');
+        out.push_back(first == std::string::npos
+                          ? ""
+                          : cell.substr(first, last - first + 1));
+    }
+    return out;
+}
+
+TEST(MetricTable, DocsListEveryEntryOnceWithItsKindAndUnit)
+{
+    std::ifstream doc(DS_METRICS_DOC);
+    ASSERT_TRUE(doc) << DS_METRICS_DOC;
+    std::map<std::string, int> rows;
+    std::string line;
+    while (std::getline(doc, line)) {
+        // | `name` | kind | unit | notes |
+        if (line.rfind("| `", 0) != 0)
+            continue;
+        const std::vector<std::string> row = cells(line);
+        ASSERT_GE(row.size(), 3u) << line;
+        ASSERT_EQ(row[0].find('`', 1), row[0].size() - 1) << line;
+        std::string name = row[0].substr(1, row[0].size() - 2);
+        for (const std::string_view placeholder : {"<level>", "<probe>"}) {
+            const auto at = name.find(placeholder);
+            if (at != std::string::npos)
+                name.replace(at, placeholder.size(), 1, '*');
+        }
+        const MetricSpec *spec = nullptr;
+        for (const MetricSpec &s : metricSpecs()) {
+            if (s.name == name)
+                spec = &s;
+        }
+        ASSERT_NE(spec, nullptr) << "not in the metric table: " << line;
+        EXPECT_EQ(row[1], kindName(spec->kind)) << line;
+        EXPECT_EQ(row[2], spec->unit) << line;
+        ++rows[name];
+    }
+    for (const MetricSpec &spec : metricSpecs())
+        EXPECT_EQ(rows[std::string(spec.name)], 1) << spec.name;
 }
 
 } // namespace

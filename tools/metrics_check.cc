@@ -1,41 +1,22 @@
 /**
  * @file
- * metrics_check — schema validator for darkside-metrics-v1 JSON files
- * (the --metrics output of the CLI and the benches). CI runs it over
- * freshly produced snapshots so an exporter regression fails the build
- * rather than silently producing unreadable artefacts.
+ * metrics_check — validator for darkside-metrics-v1 JSON files (the
+ * --metrics output of the CLI and the benches). CI runs it over freshly
+ * produced snapshots so an exporter or producer regression fails the
+ * build rather than silently producing unreadable artefacts.
  *
- * Checks, per file:
- *   - parses as JSON; top level is an object with schema/counters/
- *     gauges/histograms and nothing else
- *   - "schema" equals "darkside-metrics-v1"
- *   - each section is an array sorted by strictly increasing "name"
- *   - counters: non-negative integer "value", string unit, bool flag
- *   - histograms: lo < hi, min <= max when count > 0, and
- *     count == underflow + overflow + sum(buckets)
- *   - fault.* namespace (when present): the four outcome counters
- *     exist with the right units, every fault.injected.<probe> names
- *     a registered probe with the registry's determinism flag, and
- *     fault.injected equals the sum over deterministic probes
- *   - store.* namespace (when present): the five artifact-store
- *     outcome counters exist with the right units and are
- *     deterministic (docs/STORE.md)
- *   - decode.trace.* namespace (when present): the trace-arena
- *     counters exist with the right units, are deterministic, and
- *     collected <= allocated (docs/METRICS.md)
- *   - dnn.kernel.* namespace (when present): the four kernel-layer
- *     counters exist with the right units, are deterministic, and no
- *     unknown dnn.kernel.* name appears (docs/METRICS.md)
- *   - dnn.cache.* namespace (when present): the five score-cache
- *     counters exist with the right units, are flagged
- *     non-deterministic, no unknown dnn.cache.* name appears, and the
- *     ledger balances: hit + miss == lookup, insert <= miss, and
- *     evict <= insert (docs/METRICS.md)
- *   - serve.* namespace (when present): the session/chunk counter
- *     family and latency histograms exist with the right units and
- *     determinism flags, no unknown serve.* name appears, and the
- *     admission identities hold: admitted + shed == offered and
- *     completed + degraded == admitted (docs/SERVING.md)
+ * Checks, per file (docs/METRICS.md "The metric table"):
+ *   - Snapshot::parseJson accepts it (schema, member types, lo < hi,
+ *     count == underflow + overflow + sum(buckets))
+ *   - no unknown top-level member; names strictly increasing in each
+ *     section; histogram min <= max when count > 0
+ *   - every name matches an entry of the metric table
+ *     (telemetry/metric_spec.hh), and a complete family present in any
+ *     section has all of its counters and histograms
+ *   - the ledger identities of kIdentities
+ *   - every fault.injected.<probe> names a registered probe point with
+ *     its determinism flag, and fault.injected equals their sum over
+ *     deterministic probes
  *
  * With --expect-faults, a file whose fault.injected.* total is zero
  * (or absent) fails — CI uses this to prove a fault plan actually
@@ -49,23 +30,29 @@
  *
  * usage: metrics_check [--expect-faults] <file.json> [more.json ...]
  *        metrics_check --diff <a.json> <b.json> [--ignore p1,p2,...]
+ *                      [--require p1,p2,...]
  */
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault.hh"
+#include "telemetry/metric_spec.hh"
 #include "telemetry/snapshot.hh"
 #include "util/json.hh"
 
-using darkside::JsonValue;
-
 namespace {
+
+namespace dt = darkside::telemetry;
 
 int failures = 0;
 const char *current_file = "";
@@ -77,858 +64,182 @@ fail(const std::string &what)
     ++failures;
 }
 
-/** Non-empty string member `key`. */
-bool
-checkString(const JsonValue &obj, const char *key)
+/** The snapshot in `path` (its text in `text`), or nullopt, reported. */
+std::optional<dt::Snapshot>
+load(const char *path, std::string &text)
 {
-    const JsonValue *v = obj.member(key);
-    if (!v || !v->isString()) {
-        fail(std::string("missing string member '") + key + "'");
-        return false;
+    current_file = path;
+    std::ifstream is(path);
+    if (!is) {
+        fail("cannot open");
+        return std::nullopt;
     }
-    return true;
+    text.assign(std::istreambuf_iterator<char>(is), {});
+    auto parsed = dt::Snapshot::parseJson(text);
+    if (!parsed.isOk()) {
+        fail(parsed.message());
+        return std::nullopt;
+    }
+    return parsed.take();
 }
 
-bool
-checkBool(const JsonValue &obj, const char *key)
+/**
+ * A ledger rule: the sum of `lhs` is `op` ("==" or "<=") `rhs`. An
+ * operand is a counter's value or a histogram's sample count.
+ */
+struct Identity
 {
-    const JsonValue *v = obj.member(key);
-    if (!v || !v->isBool()) {
-        fail(std::string("missing bool member '") + key + "'");
-        return false;
-    }
-    return true;
+    std::vector<std::string_view> lhs;
+    std::string_view op;
+    std::string_view rhs;
+};
+
+const Identity kIdentities[] = {
+    // GC only reclaims nodes the arena allocated.
+    {{"decode.trace.collected"}, "<=", "decode.trace.allocated"},
+    // Every lookup is one hit or one miss; entries are inserted only
+    // after a miss, and only inserted entries are evicted.
+    {{"dnn.cache.hit", "dnn.cache.miss"}, "==", "dnn.cache.lookup"},
+    {{"dnn.cache.insert"}, "<=", "dnn.cache.miss"},
+    {{"dnn.cache.evict"}, "<=", "dnn.cache.insert"},
+    // Every offer is admitted or shed, for one counted cause; every
+    // admitted session completes or degrades.
+    {{"serve.sessions.admitted", "serve.sessions.shed"}, "==",
+     "serve.sessions.offered"},
+    {{"serve.sessions.completed", "serve.sessions.degraded"}, "==",
+     "serve.sessions.admitted"},
+    {{"serve.shed.queue", "serve.shed.deadline", "serve.shed.length",
+      "serve.shed.breaker", "serve.shed.injected", "serve.drain.refused"},
+     "==", "serve.sessions.shed"},
+    // One latency sample per chunk.
+    {{"serve.chunk_latency_us"}, "==", "serve.chunks"},
+};
+
+std::optional<std::uint64_t>
+operand(const dt::Snapshot &snap, std::string_view name)
+{
+    const std::string key(name);
+    if (const dt::CounterSample *c = snap.findCounter(key))
+        return c->value;
+    if (const dt::HistogramSample *h = snap.findHistogram(key))
+        return h->count;
+    return std::nullopt;
 }
 
-bool
-checkNumber(const JsonValue &obj, const char *key)
+void
+checkIdentities(const dt::Snapshot &snap)
 {
-    const JsonValue *v = obj.member(key);
-    if (!v || !v->isNumber()) {
-        fail(std::string("missing numeric member '") + key + "'");
-        return false;
-    }
-    return true;
-}
-
-bool
-checkUint(const JsonValue &obj, const char *key)
-{
-    const JsonValue *v = obj.member(key);
-    if (!v || !v->isNonNegativeInteger()) {
-        fail(std::string("member '") + key +
-             "' is not a non-negative integer");
-        return false;
-    }
-    return true;
-}
-
-/** The array section `key`, sorted by strictly increasing name. */
-const std::vector<JsonValue> *
-section(const JsonValue &root, const char *key)
-{
-    const JsonValue *v = root.member(key);
-    if (!v || !v->isArray()) {
-        fail(std::string("missing array section '") + key + "'");
-        return nullptr;
-    }
-    std::string prev;
-    for (std::size_t i = 0; i < v->asArray().size(); ++i) {
-        const JsonValue &entry = v->asArray()[i];
-        if (!entry.isObject() || !entry.member("name") ||
-            !entry.member("name")->isString()) {
-            fail(std::string(key) + "[" + std::to_string(i) +
-                 "]: entry without a string 'name'");
-            return nullptr;
+    for (const Identity &rule : kIdentities) {
+        std::string text;
+        std::uint64_t sum = 0;
+        bool present = true;
+        for (const std::string_view name : rule.lhs) {
+            const auto value = operand(snap, name);
+            present &= value.has_value();
+            sum += value.value_or(0);
+            text += (text.empty() ? "" : " + ") + std::string(name);
         }
-        const std::string &name = entry.member("name")->asString();
-        if (i > 0 && name <= prev) {
-            fail(std::string(key) + ": names not sorted/unique at '" +
-                 name + "'");
-        }
-        prev = name;
-    }
-    return &v->asArray();
-}
-
-void
-checkCounters(const JsonValue &root)
-{
-    const auto *entries = section(root, "counters");
-    if (!entries)
-        return;
-    for (const JsonValue &c : *entries) {
-        checkString(c, "unit");
-        checkBool(c, "deterministic");
-        checkUint(c, "value");
-    }
-}
-
-void
-checkGauges(const JsonValue &root)
-{
-    const auto *entries = section(root, "gauges");
-    if (!entries)
-        return;
-    for (const JsonValue &g : *entries) {
-        checkString(g, "unit");
-        checkNumber(g, "value");
-    }
-}
-
-void
-checkHistograms(const JsonValue &root)
-{
-    const auto *entries = section(root, "histograms");
-    if (!entries)
-        return;
-    for (const JsonValue &h : *entries) {
-        const std::string name = h.member("name")->asString();
-        checkString(h, "unit");
-        checkBool(h, "deterministic");
-        if (!checkNumber(h, "lo") || !checkNumber(h, "hi") ||
-            !checkNumber(h, "min") || !checkNumber(h, "max") ||
-            !checkUint(h, "count") || !checkUint(h, "underflow") ||
-            !checkUint(h, "overflow")) {
+        const auto rhs = operand(snap, rule.rhs);
+        if (!present || !rhs)
             continue;
-        }
-        if (!(h.member("lo")->asNumber() < h.member("hi")->asNumber()))
-            fail(name + ": lo must be < hi");
-
-        const JsonValue *buckets = h.member("buckets");
-        if (!buckets || !buckets->isArray() ||
-            buckets->asArray().empty()) {
-            fail(name + ": missing non-empty 'buckets' array");
-            continue;
-        }
-        double total = h.member("underflow")->asNumber() +
-            h.member("overflow")->asNumber();
-        bool buckets_ok = true;
-        for (const JsonValue &b : buckets->asArray()) {
-            if (!b.isNonNegativeInteger()) {
-                fail(name + ": bucket is not a non-negative integer");
-                buckets_ok = false;
-                break;
-            }
-            total += b.asNumber();
-        }
-        if (buckets_ok && total != h.member("count")->asNumber())
-            fail(name + ": count != underflow + overflow + sum(buckets)");
-        if (h.member("count")->asNumber() > 0 &&
-            h.member("min")->asNumber() > h.member("max")->asNumber()) {
-            fail(name + ": min > max with samples present");
+        if (rule.op == "==" ? sum != *rhs : sum > *rhs) {
+            fail(text + " " + std::string(rule.op) + " " +
+                 std::string(rule.rhs) + " does not hold (" +
+                 std::to_string(sum) + " vs " + std::to_string(*rhs) +
+                 ")");
         }
     }
 }
 
+/**
+ * Every name under a family and matching its entry; every counter and
+ * histogram of a complete family present once any member is.
+ */
 void
-checkFaultNamespace(const JsonValue &root, bool expect_faults)
+checkTable(const dt::Snapshot &snap)
 {
-    const JsonValue *counters = root.member("counters");
-    if (!counters || !counters->isArray())
-        return; // section() already reported this
-
-    std::map<std::string, const JsonValue *> fault;
-    for (const JsonValue &c : counters->asArray()) {
-        const JsonValue *name = c.member("name");
-        if (name && name->isString() &&
-            name->asString().rfind("fault.", 0) == 0)
-            fault[name->asString()] = &c;
-    }
-    if (fault.empty()) {
-        if (expect_faults)
-            fail("--expect-faults: no fault.* counters present");
-        return;
-    }
-
-    const struct
-    {
-        const char *name;
-        const char *unit;
-    } required[] = {
-        {"fault.injected", "faults"},
-        {"fault.retried", "attempts"},
-        {"fault.recovered", "operations"},
-        {"fault.degraded", "utterances"},
+    std::set<const dt::MetricFamily *> present;
+    const auto visit = [&](const std::string &name, dt::MetricKind kind,
+                           const std::string &unit, bool deterministic) {
+        const dt::MetricFamily *family = dt::familyOf(name);
+        if (!family) {
+            fail("metric '" + name + "' is under no family of the " +
+                 "metric table");
+            return;
+        }
+        present.insert(family);
+        if (const auto ok = dt::checkMetric(name, kind, unit, deterministic);
+            !ok)
+            fail(ok.message());
     };
-    for (const auto &r : required) {
-        auto it = fault.find(r.name);
-        if (it == fault.end()) {
-            fail(std::string("fault.* present but '") + r.name +
-                 "' is missing");
-            continue;
-        }
-        const JsonValue &c = *it->second;
-        const JsonValue *unit = c.member("unit");
-        if (unit && unit->isString() && unit->asString() != r.unit) {
-            fail(std::string(r.name) + ": unit '" + unit->asString() +
-                 "' != '" + r.unit + "'");
-        }
-        const JsonValue *det = c.member("deterministic");
-        if (det && det->isBool() && !det->asBool())
-            fail(std::string(r.name) + ": must be deterministic");
-    }
+    for (const auto &c : snap.counters)
+        visit(c.name, dt::MetricKind::Counter, c.unit, c.deterministic);
+    for (const auto &g : snap.gauges)
+        visit(g.name, dt::MetricKind::Gauge, g.unit, true);
+    for (const auto &h : snap.histograms)
+        visit(h.name, dt::MetricKind::Histogram, h.unit, h.deterministic);
 
-    const std::string prefix = "fault.injected.";
-    double deterministic_sum = 0.0;
-    double total = 0.0;
-    bool sum_valid = true;
-    for (const auto &[name, c] : fault) {
-        if (name.rfind(prefix, 0) != 0)
+    for (const dt::MetricFamily *family : present) {
+        if (!family->complete)
             continue;
-        const std::string probe_name = name.substr(prefix.size());
-        const darkside::ProbePoint *probe =
-            darkside::findProbe(probe_name);
+        for (const dt::MetricSpec &spec : dt::metricSpecs()) {
+            if (!spec.name.starts_with(family->prefix) ||
+                spec.isPattern() || spec.kind == dt::MetricKind::Gauge)
+                continue;
+            const std::string name(spec.name);
+            const bool found = spec.kind == dt::MetricKind::Counter
+                ? snap.findCounter(name) != nullptr
+                : snap.findHistogram(name) != nullptr;
+            if (!found) {
+                fail("family '" + std::string(family->prefix) +
+                     "' is present but " + dt::kindName(spec.kind) +
+                     " '" + name + "' is missing");
+            }
+        }
+    }
+}
+
+/** The fault.injected.<probe> counters against the probe registry. */
+void
+checkFaults(const dt::Snapshot &snap, bool expect_faults)
+{
+    const std::string prefix = "fault.injected.";
+    std::uint64_t deterministic_sum = 0, total = 0;
+    bool sum_valid = true;
+    for (const auto &c : snap.counters) {
+        if (!c.name.starts_with(prefix))
+            continue;
+        const std::string probe_name = c.name.substr(prefix.size());
+        const darkside::ProbePoint *probe = darkside::findProbe(probe_name);
         if (!probe) {
-            fail(name + ": '" + probe_name +
+            fail(c.name + ": '" + probe_name +
                  "' is not a registered probe point");
             sum_valid = false;
             continue;
         }
-        const JsonValue *det = c->member("deterministic");
-        if (det && det->isBool() &&
-            det->asBool() != probe->deterministic) {
-            fail(name + ": determinism flag disagrees with the probe "
-                        "registry");
-        }
-        const JsonValue *value = c->member("value");
-        if (!value || !value->isNonNegativeInteger()) {
-            sum_valid = false;
-            continue;
-        }
-        total += value->asNumber();
-        if (probe->deterministic)
-            deterministic_sum += value->asNumber();
+        if (c.deterministic != probe->deterministic)
+            fail(c.name + ": determinism flag disagrees with the probe "
+                          "registry");
+        total += c.value;
+        deterministic_sum += probe->deterministic ? c.value : 0;
     }
-    auto injected = fault.find("fault.injected");
-    if (sum_valid && injected != fault.end()) {
-        const JsonValue *value = injected->second->member("value");
-        if (value && value->isNonNegativeInteger() &&
-            value->asNumber() != deterministic_sum) {
-            fail("fault.injected != sum of fault.injected.<probe> "
-                 "over deterministic probes");
-        }
+    const dt::CounterSample *injected = snap.findCounter("fault.injected");
+    if (sum_valid && injected && injected->value != deterministic_sum) {
+        fail("fault.injected != sum of fault.injected.<probe> over "
+             "deterministic probes");
     }
-    if (expect_faults && total == 0.0)
+    if (expect_faults && total == 0)
         fail("--expect-faults: no faults were injected");
 }
 
-/**
- * store.* namespace: when any store counter is present the whole
- * outcome family must be, with the documented units, and all of them
- * deterministic (the store counts artifacts, not races).
- */
+template <typename Sample>
 void
-checkStoreNamespace(const JsonValue &root)
+checkSorted(const std::vector<Sample> &section, const char *key)
 {
-    const JsonValue *counters = root.member("counters");
-    if (!counters || !counters->isArray())
-        return; // section() already reported this
-
-    std::map<std::string, const JsonValue *> store;
-    for (const JsonValue &c : counters->asArray()) {
-        const JsonValue *name = c.member("name");
-        if (name && name->isString() &&
-            name->asString().rfind("store.", 0) == 0)
-            store[name->asString()] = &c;
-    }
-    if (store.empty())
-        return;
-
-    const struct
-    {
-        const char *name;
-        const char *unit;
-    } required[] = {
-        {"store.writes", "artifacts"},
-        {"store.write_failures", "artifacts"},
-        {"store.verified_reads", "artifacts"},
-        {"store.quarantined", "artifacts"},
-        {"store.resumed_units", "units"},
-    };
-    for (const auto &r : required) {
-        auto it = store.find(r.name);
-        if (it == store.end()) {
-            fail(std::string("store.* present but '") + r.name +
-                 "' is missing");
-            continue;
-        }
-        const JsonValue &c = *it->second;
-        const JsonValue *unit = c.member("unit");
-        if (unit && unit->isString() && unit->asString() != r.unit) {
-            fail(std::string(r.name) + ": unit '" + unit->asString() +
-                 "' != '" + r.unit + "'");
-        }
-        const JsonValue *det = c.member("deterministic");
-        if (det && det->isBool() && !det->asBool())
-            fail(std::string(r.name) + ": must be deterministic");
-    }
-}
-
-/**
- * decode.trace.* namespace: when any trace counter is present the
- * whole family must be, with the documented units, all deterministic
- * (trace accounting is per-utterance-serial integer counts), and
- * collected nodes can never exceed allocated nodes. The peak_live
- * histogram, when present, must carry the "nodes" unit and be
- * deterministic too.
- */
-void
-checkDecodeTraceNamespace(const JsonValue &root)
-{
-    const JsonValue *counters = root.member("counters");
-    if (!counters || !counters->isArray())
-        return; // section() already reported this
-
-    std::map<std::string, const JsonValue *> trace;
-    for (const JsonValue &c : counters->asArray()) {
-        const JsonValue *name = c.member("name");
-        if (name && name->isString() &&
-            name->asString().rfind("decode.trace.", 0) == 0)
-            trace[name->asString()] = &c;
-    }
-    if (trace.empty())
-        return;
-
-    const struct
-    {
-        const char *name;
-        const char *unit;
-    } required[] = {
-        {"decode.trace.allocated", "nodes"},
-        {"decode.trace.collected", "nodes"},
-        {"decode.trace.gc_runs", "collections"},
-    };
-    for (const auto &r : required) {
-        auto it = trace.find(r.name);
-        if (it == trace.end()) {
-            fail(std::string("decode.trace.* present but '") + r.name +
-                 "' is missing");
-            continue;
-        }
-        const JsonValue &c = *it->second;
-        const JsonValue *unit = c.member("unit");
-        if (unit && unit->isString() && unit->asString() != r.unit) {
-            fail(std::string(r.name) + ": unit '" + unit->asString() +
-                 "' != '" + r.unit + "'");
-        }
-        const JsonValue *det = c.member("deterministic");
-        if (det && det->isBool() && !det->asBool())
-            fail(std::string(r.name) + ": must be deterministic");
-    }
-
-    const auto counterValue =
-        [&](const char *name, double &out) -> bool {
-        auto it = trace.find(name);
-        if (it == trace.end())
-            return false;
-        const JsonValue *value = it->second->member("value");
-        if (!value || !value->isNonNegativeInteger())
-            return false;
-        out = value->asNumber();
-        return true;
-    };
-    double allocated = 0.0, collected = 0.0;
-    if (counterValue("decode.trace.allocated", allocated) &&
-        counterValue("decode.trace.collected", collected) &&
-        collected > allocated) {
-        fail("decode.trace.collected exceeds decode.trace.allocated");
-    }
-
-    const JsonValue *histograms = root.member("histograms");
-    if (!histograms || !histograms->isArray())
-        return;
-    for (const JsonValue &h : histograms->asArray()) {
-        const JsonValue *name = h.member("name");
-        if (!name || !name->isString() ||
-            name->asString() != "decode.trace.peak_live")
-            continue;
-        const JsonValue *unit = h.member("unit");
-        if (unit && unit->isString() && unit->asString() != "nodes") {
-            fail("decode.trace.peak_live: unit '" + unit->asString() +
-                 "' != 'nodes'");
-        }
-        const JsonValue *det = h.member("deterministic");
-        if (det && det->isBool() && !det->asBool())
-            fail("decode.trace.peak_live: must be deterministic");
-    }
-}
-
-/**
- * dnn.kernel.* namespace: when any kernel counter is present the whole
- * family must be, with the documented units, all deterministic (the
- * dispatcher counts calls and shape-derived work items, never races),
- * and the namespace is closed — an unknown dnn.kernel.* name is a
- * telemetry regression, not an extension point.
- */
-void
-checkDnnKernelNamespace(const JsonValue &root)
-{
-    const JsonValue *counters = root.member("counters");
-    if (!counters || !counters->isArray())
-        return; // section() already reported this
-
-    std::map<std::string, const JsonValue *> kernel;
-    for (const JsonValue &c : counters->asArray()) {
-        const JsonValue *name = c.member("name");
-        if (name && name->isString() &&
-            name->asString().rfind("dnn.kernel.", 0) == 0)
-            kernel[name->asString()] = &c;
-    }
-    if (kernel.empty())
-        return;
-
-    const struct
-    {
-        const char *name;
-        const char *unit;
-    } required[] = {
-        {"dnn.kernel.dispatch.scalar", "calls"},
-        {"dnn.kernel.dispatch.avx2", "calls"},
-        {"dnn.kernel.dense_blocks", "blocks"},
-        {"dnn.kernel.spmv_rows", "rows"},
-    };
-    for (const auto &r : required) {
-        auto it = kernel.find(r.name);
-        if (it == kernel.end()) {
-            fail(std::string("dnn.kernel.* present but '") + r.name +
-                 "' is missing");
-            continue;
-        }
-        const JsonValue &c = *it->second;
-        const JsonValue *unit = c.member("unit");
-        if (unit && unit->isString() && unit->asString() != r.unit) {
-            fail(std::string(r.name) + ": unit '" + unit->asString() +
-                 "' != '" + r.unit + "'");
-        }
-        const JsonValue *det = c.member("deterministic");
-        if (det && det->isBool() && !det->asBool())
-            fail(std::string(r.name) + ": must be deterministic");
-    }
-    for (const auto &[name, c] : kernel) {
-        bool known = false;
-        for (const auto &r : required)
-            known |= name == r.name;
-        if (!known)
-            fail(name + ": unknown dnn.kernel.* counter");
-    }
-}
-
-/**
- * decode.selector.* namespace: the frame-adaptive selectors register
- * their whole telemetry family at once (counters and histograms), so
- * when any member is present every member must be, with the documented
- * units, all deterministic (per-utterance-serial integer counts and
- * raw-value histogram observations). The namespace is closed — an
- * unknown decode.selector.* name is a telemetry regression, not an
- * extension point.
- */
-void
-checkDecodeSelectorNamespace(const JsonValue &root)
-{
-    const JsonValue *counters = root.member("counters");
-    if (!counters || !counters->isArray())
-        return; // section() already reported this
-
-    std::map<std::string, const JsonValue *> selector;
-    for (const JsonValue &c : counters->asArray()) {
-        const JsonValue *name = c.member("name");
-        if (name && name->isString() &&
-            name->asString().rfind("decode.selector.", 0) == 0)
-            selector[name->asString()] = &c;
-    }
-
-    std::map<std::string, const JsonValue *> selector_hists;
-    const JsonValue *histograms = root.member("histograms");
-    if (histograms && histograms->isArray()) {
-        for (const JsonValue &h : histograms->asArray()) {
-            const JsonValue *name = h.member("name");
-            if (name && name->isString() &&
-                name->asString().rfind("decode.selector.", 0) == 0)
-                selector_hists[name->asString()] = &h;
-        }
-    }
-    if (selector.empty() && selector_hists.empty())
-        return;
-
-    const struct
-    {
-        const char *name;
-        const char *unit;
-    } required[] = {
-        {"decode.selector.frames", "frames"},
-        {"decode.selector.threshold_hits", "hypotheses"},
-        {"decode.selector.cap_hits", "hypotheses"},
-    };
-    for (const auto &r : required) {
-        auto it = selector.find(r.name);
-        if (it == selector.end()) {
-            fail(std::string("decode.selector.* present but '") +
-                 r.name + "' is missing");
-            continue;
-        }
-        const JsonValue &c = *it->second;
-        const JsonValue *unit = c.member("unit");
-        if (unit && unit->isString() && unit->asString() != r.unit) {
-            fail(std::string(r.name) + ": unit '" + unit->asString() +
-                 "' != '" + r.unit + "'");
-        }
-        const JsonValue *det = c.member("deterministic");
-        if (det && det->isBool() && !det->asBool())
-            fail(std::string(r.name) + ": must be deterministic");
-    }
-    for (const auto &[name, c] : selector) {
-        bool known = false;
-        for (const auto &r : required)
-            known |= name == r.name;
-        if (!known)
-            fail(name + ": unknown decode.selector.* counter");
-    }
-
-    const struct
-    {
-        const char *name;
-        const char *unit;
-    } required_hists[] = {
-        {"decode.selector.beam_width", "logcost"},
-        {"decode.selector.survivors", "hypotheses"},
-        {"decode.selector.entropy", "ratio"},
-    };
-    for (const auto &r : required_hists) {
-        auto it = selector_hists.find(r.name);
-        if (it == selector_hists.end()) {
-            fail(std::string("decode.selector.* present but histogram "
-                             "'") +
-                 r.name + "' is missing");
-            continue;
-        }
-        const JsonValue &h = *it->second;
-        const JsonValue *unit = h.member("unit");
-        if (unit && unit->isString() && unit->asString() != r.unit) {
-            fail(std::string(r.name) + ": unit '" + unit->asString() +
-                 "' != '" + r.unit + "'");
-        }
-        const JsonValue *det = h.member("deterministic");
-        if (det && det->isBool() && !det->asBool())
-            fail(std::string(r.name) + ": must be deterministic");
-    }
-    for (const auto &[name, h] : selector_hists) {
-        bool known = false;
-        for (const auto &r : required_hists)
-            known |= name == r.name;
-        if (!known)
-            fail(name + ": unknown decode.selector.* histogram");
-    }
-}
-
-/**
- * dnn.cache.* namespace: the sharded acoustic-score cache registers
- * its whole counter family at once, so when any member is present
- * every member must be, with the documented units, all flagged
- * non-deterministic (shards race under concurrent sessions, and two
- * threads may miss on the same key where one thread would hit).
- * The namespace is closed, and the ledger must balance: every lookup
- * lands as exactly one hit or miss, entries are only inserted after a
- * miss, and only inserted entries can be evicted.
- */
-void
-checkDnnCacheNamespace(const JsonValue &root)
-{
-    const JsonValue *counters = root.member("counters");
-    if (!counters || !counters->isArray())
-        return; // section() already reported this
-
-    std::map<std::string, const JsonValue *> cache;
-    for (const JsonValue &c : counters->asArray()) {
-        const JsonValue *name = c.member("name");
-        if (name && name->isString() &&
-            name->asString().rfind("dnn.cache.", 0) == 0)
-            cache[name->asString()] = &c;
-    }
-    if (cache.empty())
-        return;
-
-    const struct
-    {
-        const char *name;
-        const char *unit;
-    } required[] = {
-        {"dnn.cache.lookup", "lookups"},
-        {"dnn.cache.hit", "lookups"},
-        {"dnn.cache.miss", "lookups"},
-        {"dnn.cache.insert", "entries"},
-        {"dnn.cache.evict", "entries"},
-    };
-    for (const auto &r : required) {
-        auto it = cache.find(r.name);
-        if (it == cache.end()) {
-            fail(std::string("dnn.cache.* present but '") + r.name +
-                 "' is missing");
-            continue;
-        }
-        const JsonValue &c = *it->second;
-        const JsonValue *unit = c.member("unit");
-        if (unit && unit->isString() && unit->asString() != r.unit) {
-            fail(std::string(r.name) + ": unit '" + unit->asString() +
-                 "' != '" + r.unit + "'");
-        }
-        const JsonValue *det = c.member("deterministic");
-        if (det && det->isBool() && det->asBool())
-            fail(std::string(r.name) + ": must be non-deterministic");
-    }
-    for (const auto &[name, c] : cache) {
-        bool known = false;
-        for (const auto &r : required)
-            known |= name == r.name;
-        if (!known)
-            fail(name + ": unknown dnn.cache.* counter");
-    }
-
-    const auto counterValue =
-        [&](const char *name, double &out) -> bool {
-        auto it = cache.find(name);
-        if (it == cache.end())
-            return false;
-        const JsonValue *value = it->second->member("value");
-        if (!value || !value->isNonNegativeInteger())
-            return false;
-        out = value->asNumber();
-        return true;
-    };
-    double lookup = 0.0, hit = 0.0, miss = 0.0;
-    double insert = 0.0, evict = 0.0;
-    if (counterValue("dnn.cache.lookup", lookup) &&
-        counterValue("dnn.cache.hit", hit) &&
-        counterValue("dnn.cache.miss", miss) && hit + miss != lookup)
-        fail("dnn.cache.hit + dnn.cache.miss != dnn.cache.lookup");
-    if (counterValue("dnn.cache.miss", miss) &&
-        counterValue("dnn.cache.insert", insert) && insert > miss)
-        fail("dnn.cache.insert > dnn.cache.miss");
-    if (counterValue("dnn.cache.insert", insert) &&
-        counterValue("dnn.cache.evict", evict) && evict > insert)
-        fail("dnn.cache.evict > dnn.cache.insert");
-}
-
-/**
- * serve.* namespace: when any serve metric is present the whole
- * counter family and the latency histograms must be, with the
- * documented units. Only serve.sessions.offered (it restates the
- * seeded workload) and the serve.drain.* journal counters (they
- * restate durable store state, like store.*) are deterministic;
- * everything else is timing-dependent under concurrent sessions and
- * must say so, which keeps serve runs out of deterministic snapshot
- * diffs. The namespace is closed, and the admission ledger must
- * balance: every offered session was either admitted or shed (with
- * the shed causes summing to the shed count), and every admitted
- * session either completed or degraded. The chunk-latency histogram
- * must have recorded exactly one sample per chunk.
- */
-void
-checkServeNamespace(const JsonValue &root)
-{
-    const JsonValue *counters = root.member("counters");
-    if (!counters || !counters->isArray())
-        return; // section() already reported this
-
-    std::map<std::string, const JsonValue *> serve;
-    for (const JsonValue &c : counters->asArray()) {
-        const JsonValue *name = c.member("name");
-        if (name && name->isString() &&
-            name->asString().rfind("serve.", 0) == 0)
-            serve[name->asString()] = &c;
-    }
-
-    const struct
-    {
-        const char *name;
-        const char *unit;
-        bool deterministic;
-    } required[] = {
-        {"serve.sessions.offered", "sessions", true},
-        {"serve.sessions.admitted", "sessions", false},
-        {"serve.sessions.shed", "sessions", false},
-        {"serve.sessions.completed", "sessions", false},
-        {"serve.sessions.degraded", "sessions", false},
-        {"serve.chunks", "chunks", false},
-        {"serve.frames", "frames", false},
-        {"serve.shed.queue", "sessions", false},
-        {"serve.shed.deadline", "sessions", false},
-        {"serve.shed.length", "sessions", false},
-        {"serve.shed.breaker", "sessions", false},
-        {"serve.shed.injected", "sessions", false},
-        {"serve.breaker.trips", "trips", false},
-        {"serve.breaker.half_opens", "probes", false},
-        {"serve.drain.requested", "drains", true},
-        {"serve.drain.refused", "sessions", true},
-        {"serve.drain.committed_units", "units", true},
-        {"serve.drain.resumed_sessions", "sessions", true},
-    };
-
-    // The namespace also spans gauges and histograms; any serve.*
-    // name in any section activates the whole-family requirement.
-    bool present = !serve.empty();
-    const struct
-    {
-        const char *name;
-        const char *unit;
-    } known_gauges[] = {
-        {"serve.chunk_p50_us", "us"},
-        {"serve.chunk_p95_us", "us"},
-        {"serve.chunk_p99_us", "us"},
-        {"serve.sessions_per_sec", "sessions/s"},
-        {"serve.ttfp_p50_us", "us"},
-        {"serve.ttfp_p95_us", "us"},
-    };
-    const JsonValue *gauges = root.member("gauges");
-    if (gauges && gauges->isArray()) {
-        for (const JsonValue &g : gauges->asArray()) {
-            const JsonValue *name = g.member("name");
-            if (!name || !name->isString() ||
-                name->asString().rfind("serve.", 0) != 0)
-                continue;
-            present = true;
-            bool known = false;
-            for (const auto &k : known_gauges) {
-                if (name->asString() != k.name)
-                    continue;
-                known = true;
-                const JsonValue *unit = g.member("unit");
-                if (unit && unit->isString() &&
-                    unit->asString() != k.unit) {
-                    fail(name->asString() + ": unit '" +
-                         unit->asString() + "' != '" + k.unit + "'");
-                }
-            }
-            if (!known)
-                fail(name->asString() + ": unknown serve.* gauge");
-        }
-    }
-
-    std::map<std::string, const JsonValue *> serve_hists;
-    const JsonValue *histograms = root.member("histograms");
-    if (histograms && histograms->isArray()) {
-        for (const JsonValue &h : histograms->asArray()) {
-            const JsonValue *name = h.member("name");
-            if (name && name->isString() &&
-                name->asString().rfind("serve.", 0) == 0)
-                serve_hists[name->asString()] = &h;
-        }
-    }
-    present |= !serve_hists.empty();
-    if (!present)
-        return;
-
-    for (const auto &r : required) {
-        auto it = serve.find(r.name);
-        if (it == serve.end()) {
-            fail(std::string("serve.* present but '") + r.name +
-                 "' is missing");
-            continue;
-        }
-        const JsonValue &c = *it->second;
-        const JsonValue *unit = c.member("unit");
-        if (unit && unit->isString() && unit->asString() != r.unit) {
-            fail(std::string(r.name) + ": unit '" + unit->asString() +
-                 "' != '" + r.unit + "'");
-        }
-        const JsonValue *det = c.member("deterministic");
-        if (det && det->isBool() && det->asBool() != r.deterministic) {
-            fail(std::string(r.name) + ": must be " +
-                 (r.deterministic ? "deterministic"
-                                  : "non-deterministic"));
-        }
-    }
-    for (const auto &[name, c] : serve) {
-        bool known = false;
-        for (const auto &r : required)
-            known |= name == r.name;
-        if (!known)
-            fail(name + ": unknown serve.* counter");
-    }
-
-    const struct
-    {
-        const char *name;
-    } required_hists[] = {
-        {"serve.chunk_latency_us"},
-        {"serve.session_latency_us"},
-        {"serve.ttfp_us"},
-    };
-    for (const auto &r : required_hists) {
-        auto it = serve_hists.find(r.name);
-        if (it == serve_hists.end()) {
-            fail(std::string("serve.* present but histogram '") +
-                 r.name + "' is missing");
-            continue;
-        }
-        const JsonValue &h = *it->second;
-        const JsonValue *unit = h.member("unit");
-        if (unit && unit->isString() && unit->asString() != "us") {
-            fail(std::string(r.name) + ": unit '" + unit->asString() +
-                 "' != 'us'");
-        }
-        const JsonValue *det = h.member("deterministic");
-        if (det && det->isBool() && det->asBool())
-            fail(std::string(r.name) + ": must be non-deterministic");
-    }
-    for (const auto &[name, h] : serve_hists) {
-        bool known = false;
-        for (const auto &r : required_hists)
-            known |= name == r.name;
-        if (!known)
-            fail(name + ": unknown serve.* histogram");
-    }
-
-    const auto counterValue =
-        [&](const char *name, double &out) -> bool {
-        auto it = serve.find(name);
-        if (it == serve.end())
-            return false;
-        const JsonValue *value = it->second->member("value");
-        if (!value || !value->isNonNegativeInteger())
-            return false;
-        out = value->asNumber();
-        return true;
-    };
-    double offered = 0.0, admitted = 0.0, shed = 0.0;
-    double completed = 0.0, degraded = 0.0, chunks = 0.0;
-    if (counterValue("serve.sessions.offered", offered) &&
-        counterValue("serve.sessions.admitted", admitted) &&
-        counterValue("serve.sessions.shed", shed) &&
-        admitted + shed != offered) {
-        fail("serve.sessions.admitted + serve.sessions.shed != "
-             "serve.sessions.offered");
-    }
-    if (counterValue("serve.sessions.admitted", admitted) &&
-        counterValue("serve.sessions.completed", completed) &&
-        counterValue("serve.sessions.degraded", degraded) &&
-        completed + degraded != admitted) {
-        fail("serve.sessions.completed + serve.sessions.degraded != "
-             "serve.sessions.admitted");
-    }
-    double shed_queue = 0.0, shed_deadline = 0.0, shed_length = 0.0;
-    double shed_breaker = 0.0, shed_injected = 0.0;
-    double drain_refused = 0.0;
-    if (counterValue("serve.sessions.shed", shed) &&
-        counterValue("serve.shed.queue", shed_queue) &&
-        counterValue("serve.shed.deadline", shed_deadline) &&
-        counterValue("serve.shed.length", shed_length) &&
-        counterValue("serve.shed.breaker", shed_breaker) &&
-        counterValue("serve.shed.injected", shed_injected) &&
-        counterValue("serve.drain.refused", drain_refused) &&
-        shed_queue + shed_deadline + shed_length + shed_breaker +
-                shed_injected + drain_refused !=
-            shed) {
-        fail("serve.shed.* + serve.drain.refused != "
-             "serve.sessions.shed");
-    }
-    auto chunk_hist = serve_hists.find("serve.chunk_latency_us");
-    if (counterValue("serve.chunks", chunks) &&
-        chunk_hist != serve_hists.end()) {
-        const JsonValue *count = chunk_hist->second->member("count");
-        if (count && count->isNonNegativeInteger() &&
-            count->asNumber() != chunks) {
-            fail("serve.chunk_latency_us count != serve.chunks");
+    for (std::size_t i = 1; i < section.size(); ++i) {
+        if (section[i].name <= section[i - 1].name) {
+            fail(std::string(key) + ": names not sorted/unique at '" +
+                 section[i].name + "'");
         }
     }
 }
@@ -936,77 +247,63 @@ checkServeNamespace(const JsonValue &root)
 void
 checkFile(const char *path, bool expect_faults)
 {
-    current_file = path;
-    std::ifstream is(path);
-    if (!is) {
-        fail("cannot open");
+    std::string text;
+    const auto loaded = load(path, text);
+    if (!loaded)
         return;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-
-    std::string error;
-    const JsonValue root = JsonValue::parse(buf.str(), &error);
-    if (!error.empty()) {
-        fail("parse error: " + error);
-        return;
-    }
-    if (!root.isObject()) {
-        fail("top level is not an object");
-        return;
-    }
-    const JsonValue *schema = root.member("schema");
-    if (!schema || !schema->isString() ||
-        schema->asString() != "darkside-metrics-v1") {
-        fail("schema is not \"darkside-metrics-v1\"");
-        return;
-    }
+    // The parser reads the four members it knows and ignores others.
+    const darkside::JsonValue root = darkside::JsonValue::parse(text);
     for (const auto &[key, value] : root.asObject()) {
         if (key != "schema" && key != "counters" && key != "gauges" &&
             key != "histograms") {
             fail("unexpected top-level member '" + key + "'");
         }
     }
-    checkCounters(root);
-    checkGauges(root);
-    checkHistograms(root);
-    checkFaultNamespace(root, expect_faults);
-    checkStoreNamespace(root);
-    checkDecodeTraceNamespace(root);
-    checkDnnKernelNamespace(root);
-    checkDnnCacheNamespace(root);
-    checkDecodeSelectorNamespace(root);
-    checkServeNamespace(root);
+    const dt::Snapshot &snap = *loaded;
+    checkSorted(snap.counters, "counters");
+    checkSorted(snap.gauges, "gauges");
+    checkSorted(snap.histograms, "histograms");
+    for (const auto &h : snap.histograms) {
+        if (h.count > 0 && h.min > h.max)
+            fail(h.name + ": min > max with samples present");
+    }
+    checkTable(snap);
+    checkIdentities(snap);
+    checkFaults(snap, expect_faults);
 }
 
 // --- --diff mode --------------------------------------------------------
 
-bool
-loadSnapshot(const char *path,
-             const std::vector<std::string> &ignore,
-             darkside::telemetry::Snapshot &out,
-             darkside::telemetry::Snapshot *raw = nullptr)
+/**
+ * Compare one section of two snapshots name by name: names in only one
+ * file, and samples `differs` describes (": how", or "" when equal).
+ * @return how many names both files have
+ */
+template <typename Sample, typename Differs, typename Note>
+std::size_t
+diffSection(const std::vector<Sample> &a, const std::vector<Sample> &b,
+            const std::string &kind, const Differs &differs,
+            const Note &note)
 {
-    current_file = path;
-    std::ifstream is(path);
-    if (!is) {
-        fail("cannot open");
-        return false;
+    std::map<std::string, const Sample *> only_a;
+    for (const Sample &s : a)
+        only_a[s.name] = &s;
+    std::size_t compared = 0;
+    for (const Sample &s : b) {
+        auto it = only_a.find(s.name);
+        if (it == only_a.end()) {
+            note(kind + " '" + s.name + "' only in second file");
+            continue;
+        }
+        const std::string how = differs(*it->second, s);
+        if (!how.empty())
+            note(kind + " '" + s.name + "'" + how);
+        only_a.erase(it);
+        ++compared;
     }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    auto parsed = darkside::telemetry::Snapshot::parseJson(buf.str());
-    if (!parsed.isOk()) {
-        fail(parsed.message());
-        return false;
-    }
-    // Deterministic metrics and gauges are the reproducibility
-    // contract; non-deterministic ones (wall time, cache races) are
-    // expected to differ between any two runs.
-    if (raw)
-        *raw = parsed.value();
-    out = parsed.take().deterministic().withoutPrefixes(ignore);
-    return true;
+    for (const auto &[name, s] : only_a)
+        note(kind + " '" + name + "' only in first file");
+    return compared;
 }
 
 int
@@ -1014,15 +311,25 @@ diffSnapshots(const char *path_a, const char *path_b,
               const std::vector<std::string> &ignore,
               const std::vector<std::string> &require)
 {
-    namespace dt = darkside::telemetry;
-    dt::Snapshot a, b, raw_a, raw_b;
-    if (!loadSnapshot(path_a, ignore, a, &raw_a) ||
-        !loadSnapshot(path_b, ignore, b, &raw_b))
+    std::string text;
+    std::optional<dt::Snapshot> raw_a, raw_b;
+    if (!(raw_a = load(path_a, text)) || !(raw_b = load(path_b, text)))
         return 1;
     current_file = path_b;
+    // Deterministic metrics and gauges are the reproducibility
+    // contract; non-deterministic ones (wall time, cache races) are
+    // expected to differ between any two runs.
+    const dt::Snapshot a = raw_a->deterministic().withoutPrefixes(ignore);
+    const dt::Snapshot b = raw_b->deterministic().withoutPrefixes(ignore);
 
     const auto note = [&](const std::string &what) {
         fail(std::string("differs from ") + path_a + ": " + what);
+    };
+    const auto values = [](const auto &x, const auto &y) {
+        return x.value == y.value
+            ? std::string()
+            : ": " + std::to_string(x.value) + " != " +
+                std::to_string(y.value);
     };
 
     // --require: counters matching these prefixes must match exactly
@@ -1031,98 +338,35 @@ diffSnapshots(const char *path_a, const char *path_b,
     // bit-identically although concurrency makes it nondet-flagged.
     // Compared on the raw snapshots, before the deterministic filter.
     if (!require.empty()) {
-        const auto wanted = [&](const std::string &name) {
-            for (const auto &p : require) {
-                if (name.rfind(p, 0) == 0)
-                    return true;
+        const auto required = [&](const dt::Snapshot &raw) {
+            std::vector<dt::CounterSample> out;
+            for (const auto &c : raw.counters) {
+                for (const auto &p : require) {
+                    if (c.name.starts_with(p)) {
+                        out.push_back(c);
+                        break;
+                    }
+                }
             }
-            return false;
+            return out;
         };
-        std::map<std::string, std::uint64_t> ra;
-        for (const auto &c : raw_a.counters)
-            if (wanted(c.name))
-                ra[c.name] = c.value;
-        std::size_t compared = 0;
-        for (const auto &c : raw_b.counters) {
-            if (!wanted(c.name))
-                continue;
-            auto it = ra.find(c.name);
-            if (it == ra.end()) {
-                note("required counter '" + c.name +
-                     "' only in second file");
-                continue;
-            }
-            if (it->second != c.value) {
-                note("required counter '" + c.name + "': " +
-                     std::to_string(it->second) + " != " +
-                     std::to_string(c.value));
-            }
-            ra.erase(it);
-            ++compared;
-        }
-        for (const auto &[name, v] : ra)
-            note("required counter '" + name + "' only in first file");
-        if (compared == 0)
+        if (diffSection(required(*raw_a), required(*raw_b),
+                        "required counter", values, note) == 0)
             note("no counter matched any --require prefix");
     }
 
-    std::map<std::string, const dt::CounterSample *> ca;
-    for (const auto &c : a.counters)
-        ca[c.name] = &c;
-    for (const auto &c : b.counters) {
-        auto it = ca.find(c.name);
-        if (it == ca.end()) {
-            note("counter '" + c.name + "' only in second file");
-            continue;
-        }
-        if (it->second->value != c.value) {
-            note("counter '" + c.name + "': " +
-                 std::to_string(it->second->value) + " != " +
-                 std::to_string(c.value));
-        }
-        ca.erase(it);
-    }
-    for (const auto &[name, c] : ca)
-        note("counter '" + name + "' only in first file");
-
-    std::map<std::string, const dt::GaugeSample *> ga;
-    for (const auto &g : a.gauges)
-        ga[g.name] = &g;
-    for (const auto &g : b.gauges) {
-        auto it = ga.find(g.name);
-        if (it == ga.end()) {
-            note("gauge '" + g.name + "' only in second file");
-            continue;
-        }
-        if (it->second->value != g.value) {
-            note("gauge '" + g.name + "': " +
-                 std::to_string(it->second->value) + " != " +
-                 std::to_string(g.value));
-        }
-        ga.erase(it);
-    }
-    for (const auto &[name, g] : ga)
-        note("gauge '" + name + "' only in first file");
-
-    std::map<std::string, const dt::HistogramSample *> ha;
-    for (const auto &h : a.histograms)
-        ha[h.name] = &h;
-    for (const auto &h : b.histograms) {
-        auto it = ha.find(h.name);
-        if (it == ha.end()) {
-            note("histogram '" + h.name + "' only in second file");
-            continue;
-        }
-        const dt::HistogramSample &o = *it->second;
-        if (o.count != h.count || o.underflow != h.underflow ||
-            o.overflow != h.overflow || o.buckets != h.buckets ||
-            o.min != h.min || o.max != h.max) {
-            note("histogram '" + h.name + "' differs");
-        }
-        ha.erase(it);
-    }
-    for (const auto &[name, h] : ha)
-        note("histogram '" + name + "' only in first file");
+    diffSection(a.counters, b.counters, "counter", values, note);
+    diffSection(a.gauges, b.gauges, "gauge", values, note);
+    diffSection(
+        a.histograms, b.histograms, "histogram",
+        [](const dt::HistogramSample &o, const dt::HistogramSample &h) {
+            const bool same = o.count == h.count &&
+                o.underflow == h.underflow && o.overflow == h.overflow &&
+                o.buckets == h.buckets && o.min == h.min &&
+                o.max == h.max;
+            return std::string(same ? "" : " differs");
+        },
+        note);
 
     if (failures > 0) {
         std::fprintf(stderr, "%d difference(s) found\n", failures);
@@ -1143,19 +387,10 @@ main(int argc, char **argv)
     if (argc > 1 && std::strcmp(argv[1], "--diff") == 0) {
         const auto split = [](const char *arg,
                               std::vector<std::string> &out) {
-            std::string prefixes = arg;
-            std::size_t start = 0;
-            while (start <= prefixes.size()) {
-                const std::size_t comma = prefixes.find(',', start);
-                const std::string p = prefixes.substr(
-                    start, comma == std::string::npos
-                               ? std::string::npos
-                               : comma - start);
+            std::stringstream prefixes(arg);
+            for (std::string p; std::getline(prefixes, p, ',');) {
                 if (!p.empty())
                     out.push_back(p);
-                if (comma == std::string::npos)
-                    break;
-                start = comma + 1;
             }
         };
         std::vector<std::string> ignore, require;
@@ -1179,13 +414,9 @@ main(int argc, char **argv)
         return diffSnapshots(argv[2], argv[3], ignore, require);
     }
 
-    bool expect_faults = false;
-    int first_file = 1;
-    if (first_file < argc &&
-        std::strcmp(argv[first_file], "--expect-faults") == 0) {
-        expect_faults = true;
-        ++first_file;
-    }
+    const bool expect_faults =
+        argc > 1 && std::strcmp(argv[1], "--expect-faults") == 0;
+    const int first_file = expect_faults ? 2 : 1;
     if (first_file >= argc) {
         std::fprintf(stderr,
                      "usage: metrics_check [--expect-faults] "
