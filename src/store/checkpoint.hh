@@ -41,24 +41,20 @@ class RunCheckpoint
     }
 
     /**
-     * Load a completed unit's payload and hand it to `replay`, if
-     * given. A verified load that `replay` accepts counts
-     * store.resumed_units; an absent or quarantined unit, or one
-     * `replay` refuses, is a Status error and the caller recomputes
-     * it.
+     * Load a completed unit's payload and hand it to `replay`. A
+     * verified load that `replay` accepts counts store.resumed_units;
+     * an absent or quarantined unit, or one `replay` refuses, is a
+     * Status error and the caller recomputes it.
      */
     Result<std::string>
     loadUnit(const std::string &unitId,
-             const std::function<Status(const std::string &)> &replay =
-                 nullptr) const
+             const std::function<Status(const std::string &)> &replay) const
     {
         auto payload = store_.read(unitFileName(unitId), kUnitKind);
         if (!payload.isOk())
             return payload;
-        if (replay) {
-            if (Status replayed = replay(payload.value()); !replayed)
-                return replayed;
-        }
+        if (Status replayed = replay(payload.value()); !replayed)
+            return replayed;
         noteResumedUnit();
         return payload;
     }

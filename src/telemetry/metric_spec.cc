@@ -1,5 +1,6 @@
 #include "telemetry/metric_spec.hh"
 
+#include <cstdio>
 #include <string>
 
 namespace darkside {
@@ -25,7 +26,8 @@ constexpr MetricFamily kFamilies[] = {
 };
 
 // A new metric takes one entry here and one row in docs/METRICS.md,
-// which says what each one counts.
+// which says what each one counts. A histogram's entry states its
+// bucket range, as its producer registers it.
 constexpr MetricSpec kSpecs[] = {
     // InferenceEngine. Not complete: a fully replayed sweep has the
     // deterministic counters but not the wall-time histogram.
@@ -34,8 +36,8 @@ constexpr MetricSpec kSpecs[] = {
     {"dnn.infer.dense_fc_windows", kCounter, "layer-windows", kDet},
     {"dnn.infer.sparse_fc_windows", kCounter, "layer-windows", kDet},
     {"dnn.infer.int8_fc_windows", kCounter, "layer-windows", kDet},
-    {"dnn.infer.window_frames", kHistogram, "frames", kDet},
-    {"dnn.infer.window_wall_us", kHistogram, "us", kNondet},
+    {"dnn.infer.window_frames", kHistogram, "frames", kDet, {0, 128, 32}},
+    {"dnn.infer.window_wall_us", kHistogram, "us", kNondet, {0, 20000, 50}},
 
     {"dnn.kernel.dispatch.scalar", kCounter, "calls", kDet},
     {"dnn.kernel.dispatch.avx2", kCounter, "calls", kDet},
@@ -53,8 +55,10 @@ constexpr MetricSpec kSpecs[] = {
     {"search.generated", kCounter, "hypotheses", kDet},
     {"search.expanded", kCounter, "tokens", kDet},
     {"search.survivors", kCounter, "hypotheses", kDet},
-    {"search.hypotheses_per_frame", kHistogram, "hypotheses", kDet},
-    {"search.generated_per_frame", kHistogram, "hypotheses", kDet},
+    {"search.hypotheses_per_frame", kHistogram, "hypotheses", kDet,
+     {0, 2048, 64}},
+    {"search.generated_per_frame", kHistogram, "hypotheses", kDet,
+     {0, 8192, 64}},
 
     {"selector.insertions", kCounter, "hypotheses", kDet},
     {"selector.recombinations", kCounter, "hypotheses", kDet},
@@ -67,14 +71,15 @@ constexpr MetricSpec kSpecs[] = {
     {"decode.trace.allocated", kCounter, "nodes", kDet},
     {"decode.trace.collected", kCounter, "nodes", kDet},
     {"decode.trace.gc_runs", kCounter, "collections", kDet},
-    {"decode.trace.peak_live", kHistogram, "nodes", kDet},
+    {"decode.trace.peak_live", kHistogram, "nodes", kDet, {0, 32768, 64}},
 
     {"decode.selector.frames", kCounter, "frames", kDet},
     {"decode.selector.threshold_hits", kCounter, "hypotheses", kDet},
     {"decode.selector.cap_hits", kCounter, "hypotheses", kDet},
-    {"decode.selector.beam_width", kHistogram, "logcost", kDet},
-    {"decode.selector.survivors", kHistogram, "hypotheses", kDet},
-    {"decode.selector.entropy", kHistogram, "ratio", kDet},
+    {"decode.selector.beam_width", kHistogram, "logcost", kDet, {0, 20, 40}},
+    {"decode.selector.survivors", kHistogram, "hypotheses", kDet,
+     {0, 2048, 32}},
+    {"decode.selector.entropy", kHistogram, "ratio", kDet, {0, 1, 20}},
 
     {"accel.viterbi.cycles", kCounter, "cycles", kDet},
     {"accel.viterbi.frames", kCounter, "frames", kDet},
@@ -105,8 +110,8 @@ constexpr MetricSpec kSpecs[] = {
     {"pool.tasks", kCounter, "tasks", kNondet},
     {"pool.inline_tasks", kCounter, "tasks", kNondet},
     {"pool.busy_us", kCounter, "us", kNondet},
-    {"pool.queue_wait_us", kHistogram, "us", kNondet},
-    {"pool.task_wall_us", kHistogram, "us", kNondet},
+    {"pool.queue_wait_us", kHistogram, "us", kNondet, {0, 10000, 50}},
+    {"pool.task_wall_us", kHistogram, "us", kNondet, {0, 100000, 50}},
 
     // Complete means the four outcome counters: a pattern is never
     // required.
@@ -142,9 +147,9 @@ constexpr MetricSpec kSpecs[] = {
     {"serve.drain.refused", kCounter, "sessions", kDet},
     {"serve.drain.committed_units", kCounter, "units", kDet},
     {"serve.drain.resumed_sessions", kCounter, "sessions", kDet},
-    {"serve.chunk_latency_us", kHistogram, "us", kNondet},
-    {"serve.session_latency_us", kHistogram, "us", kNondet},
-    {"serve.ttfp_us", kHistogram, "us", kNondet},
+    {"serve.chunk_latency_us", kHistogram, "us", kNondet, {0, 20000, 50}},
+    {"serve.session_latency_us", kHistogram, "us", kNondet, {0, 2000000, 50}},
+    {"serve.ttfp_us", kHistogram, "us", kNondet, {0, 2000000, 50}},
     {"serve.chunk_p50_us", kGauge, "us"},
     {"serve.chunk_p95_us", kGauge, "us"},
     {"serve.chunk_p99_us", kGauge, "us"},
@@ -166,6 +171,17 @@ kindName(MetricKind kind)
 {
     constexpr const char *kNames[] = {"counter", "gauge", "histogram"};
     return kNames[static_cast<int>(kind)];
+}
+
+std::string
+BucketRange::text() const
+{
+    if (buckets == 0)
+        return "";
+    char text[96];
+    std::snprintf(text, sizeof(text), " over [%g, %g) in %zu buckets", lo,
+                  hi, buckets);
+    return text;
 }
 
 bool
@@ -242,6 +258,20 @@ checkMetric(std::string_view name, MetricKind kind, std::string_view unit,
                              flagName(!deterministic));
     }
     return Status::ok();
+}
+
+Status
+checkHistogramMetric(std::string_view name, std::string_view unit,
+                     bool deterministic, const BucketRange &range)
+{
+    if (Status s = checkMetric(name, kHistogram, unit, deterministic); !s)
+        return s;
+    const MetricSpec *spec = findMetricSpec(name);
+    if (!spec || spec->range == range)
+        return Status::ok();
+    return Status::error("metric '" + std::string(name) + "' has buckets" +
+                         range.text() + ", the metric table says" +
+                         spec->range.text());
 }
 
 } // namespace telemetry

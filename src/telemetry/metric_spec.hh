@@ -1,8 +1,9 @@
 /**
  * @file
  * The metric table: every metric the program registers, with its kind,
- * unit and determinism flag, stated once. MetricRegistry checks a name
- * against it when the name is first registered, tools/metrics_check
+ * unit, determinism flag and (a histogram) bucket range, stated once.
+ * MetricRegistry checks a name against it when the name is first
+ * registered or replayed from a journal, tools/metrics_check
  * validates snapshots by walking it, and telemetry_test holds the
  * docs/METRICS.md tables to it.
  *
@@ -16,8 +17,10 @@
 #ifndef DARKSIDE_TELEMETRY_METRIC_SPEC_HH
 #define DARKSIDE_TELEMETRY_METRIC_SPEC_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "util/status.hh"
@@ -45,6 +48,19 @@ enum class MetricFlag : std::uint8_t
     Unchecked,
 };
 
+/** A histogram's `buckets` equal buckets over [lo, hi); counters and
+ *  gauges have none. */
+struct BucketRange
+{
+    double lo = 0.0;
+    double hi = 0.0;
+    std::size_t buckets = 0;
+
+    bool operator==(const BucketRange &) const = default;
+    /** " over [lo, hi) in N buckets", or "" for the empty range. */
+    std::string text() const;
+};
+
 struct MetricSpec
 {
     /** A name, or a pattern whose one `*` stands for any non-empty
@@ -53,6 +69,7 @@ struct MetricSpec
     MetricKind kind;
     std::string_view unit;
     MetricFlag flag = MetricFlag::Unchecked;
+    BucketRange range = {};
 
     bool isPattern() const;
     bool matches(std::string_view metric) const;
@@ -77,6 +94,14 @@ const MetricSpec *findMetricSpec(std::string_view name);
  */
 Status checkMetric(std::string_view name, MetricKind kind,
                    std::string_view unit, bool deterministic);
+
+/**
+ * checkMetric for a histogram being registered, which must also have
+ * its entry's bucket range. Snapshots are not held to the range
+ * (tools/metrics_check calls checkMetric).
+ */
+Status checkHistogramMetric(std::string_view name, std::string_view unit,
+                            bool deterministic, const BucketRange &range);
 
 } // namespace telemetry
 } // namespace darkside

@@ -1,7 +1,6 @@
 #include "telemetry/metrics.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "telemetry/metric_spec.hh"
@@ -221,53 +220,52 @@ orPanic(const Status &status)
 
 Status
 registeredAs(const std::string &name, const std::string &unit,
-             bool deterministic, const std::string &range = "")
+             bool deterministic, const BucketRange &range = {})
 {
     return Status::error("metric '" + name + "' is registered with unit '" +
-                         unit + "'" + range + ", " +
+                         unit + "'" + range.text() + ", " +
                          flagName(deterministic));
 }
 
 } // namespace
 
 Status
-MetricRegistry::checkCounter(const std::string &name,
+MetricRegistry::checkCounter(Index::const_iterator live,
+                             const std::string &name,
                              const std::string &unit,
                              bool deterministic) const
 {
-    auto it = counterIndex_.find(name);
-    if (it == counterIndex_.end())
+    if (live == counterIndex_.end())
         return checkMetric(name, MetricKind::Counter, unit, deterministic);
-    const CounterInfo &info = counters_[it->second];
+    const CounterInfo &info = counters_[live->second];
     if (info.unit == unit && info.deterministic == deterministic)
         return Status::ok();
     return registeredAs(name, info.unit, info.deterministic);
 }
 
 Status
-MetricRegistry::checkHistogram(const std::string &name,
+MetricRegistry::checkHistogram(Index::const_iterator live,
+                               const std::string &name,
                                const std::string &unit,
                                const HistogramSpec &spec,
                                bool deterministic) const
 {
+    const BucketRange range{spec.lo, spec.hi, spec.buckets};
+    if (live != histIndex_.end()) {
+        const HistogramInfo &info = hists_[live->second];
+        const BucketRange registered{info.spec.lo, info.spec.hi,
+                                     info.spec.buckets};
+        if (info.unit == unit && info.deterministic == deterministic &&
+            registered == range)
+            return Status::ok();
+        return registeredAs(name, info.unit, info.deterministic,
+                            registered);
+    }
     if (spec.buckets == 0 || !(spec.lo < spec.hi)) {
         return Status::error("metric '" + name +
                              "' has an empty bucket range");
     }
-    auto it = histIndex_.find(name);
-    if (it == histIndex_.end()) {
-        return checkMetric(name, MetricKind::Histogram, unit,
-                           deterministic);
-    }
-    const HistogramInfo &info = hists_[it->second];
-    if (info.unit == unit && info.deterministic == deterministic &&
-        info.spec.lo == spec.lo && info.spec.hi == spec.hi &&
-        info.spec.buckets == spec.buckets)
-        return Status::ok();
-    char range[96];
-    std::snprintf(range, sizeof(range), " over [%g, %g) in %zu buckets",
-                  info.spec.lo, info.spec.hi, info.spec.buckets);
-    return registeredAs(name, info.unit, info.deterministic, range);
+    return checkHistogramMetric(name, unit, deterministic, range);
 }
 
 Counter
@@ -275,11 +273,13 @@ MetricRegistry::counter(const std::string &name, const std::string &unit,
                         bool deterministic)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    orPanic(checkCounter(name, unit, deterministic));
-    const auto [it, added] = counterIndex_.try_emplace(
-        name, static_cast<std::uint32_t>(counters_.size()));
-    if (added) {
+    auto it = counterIndex_.find(name);
+    orPanic(checkCounter(it, name, unit, deterministic));
+    if (it == counterIndex_.end()) {
         ds_assert(counters_.size() < kMaxCounters);
+        it = counterIndex_
+                 .emplace(name, static_cast<std::uint32_t>(counters_.size()))
+                 .first;
         counters_.push_back({name, unit, deterministic});
     }
     return Counter(this, it->second);
@@ -291,11 +291,13 @@ MetricRegistry::histogram(const std::string &name,
                           const HistogramSpec &spec, bool deterministic)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    orPanic(checkHistogram(name, unit, spec, deterministic));
-    const auto [it, added] = histIndex_.try_emplace(
-        name, static_cast<std::uint32_t>(hists_.size()));
-    if (added) {
+    auto it = histIndex_.find(name);
+    orPanic(checkHistogram(it, name, unit, spec, deterministic));
+    if (it == histIndex_.end()) {
         ds_assert(hists_.size() < kMaxHistograms);
+        it = histIndex_
+                 .emplace(name, static_cast<std::uint32_t>(hists_.size()))
+                 .first;
         hists_.push_back({name, unit, spec, deterministic});
     }
     return Histogram(this, it->second);
@@ -335,13 +337,16 @@ MetricRegistry::apply(const Snapshot &delta)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (const auto &c : delta.counters) {
-            if (Status s = checkCounter(c.name, c.unit, c.deterministic); !s)
+            if (Status s = checkCounter(counterIndex_.find(c.name), c.name,
+                                        c.unit, c.deterministic);
+                !s)
                 return s;
         }
         for (const auto &h : delta.histograms) {
-            const HistogramSpec spec{h.lo, h.hi, h.buckets.size()};
-            if (Status s = checkHistogram(h.name, h.unit, spec,
-                                          h.deterministic);
+            if (Status s = checkHistogram(
+                    histIndex_.find(h.name), h.name, h.unit,
+                    HistogramSpec{h.lo, h.hi, h.buckets.size()},
+                    h.deterministic);
                 !s)
                 return s;
         }

@@ -259,12 +259,15 @@ class MetricRegistry
         ~Shard();
     };
 
-    /** Registering `name` this way agrees with its live registration,
-     *  or (a new name) with the metric table. Caller holds mutex_. */
-    Status checkCounter(const std::string &name, const std::string &unit,
-                        bool deterministic) const;
-    Status checkHistogram(const std::string &name,
-                          const std::string &unit,
+    using Index = std::unordered_map<std::string, std::uint32_t>;
+
+    /** Registering `name` this way agrees with `live`, its index entry,
+     *  or when it has none (end()) with the metric table. Caller holds
+     *  mutex_. */
+    Status checkCounter(Index::const_iterator live, const std::string &name,
+                        const std::string &unit, bool deterministic) const;
+    Status checkHistogram(Index::const_iterator live,
+                          const std::string &name, const std::string &unit,
                           const HistogramSpec &spec,
                           bool deterministic) const;
 
@@ -275,9 +278,9 @@ class MetricRegistry
 
     mutable std::mutex mutex_;
     std::vector<CounterInfo> counters_;
-    std::unordered_map<std::string, std::uint32_t> counterIndex_;
+    Index counterIndex_;
     std::vector<HistogramInfo> hists_;
-    std::unordered_map<std::string, std::uint32_t> histIndex_;
+    Index histIndex_;
 
     struct Gauge
     {

@@ -317,17 +317,24 @@ Snapshot::parseJson(const std::string &text)
     for (const JsonValue &c : *counters.value()) {
         if (!c.isObject())
             return parseError("counter entry is not an object");
+        CounterSample s;
         auto name = stringMember(c, "name");
         auto unit = stringMember(c, "unit");
         auto det = boolMember(c, "deterministic");
         auto value = uintMember(c, "value");
-        for (const Status *st : {&name.status(), &unit.status(),
-                                 &det.status(), &value.status()}) {
-            if (!st->isOk())
-                return *st;
-        }
-        snap.counters.push_back(
-            {name.take(), unit.take(), det.value(), value.value()});
+        if (!name.isOk())
+            return name.status();
+        if (!unit.isOk())
+            return unit.status();
+        if (!det.isOk())
+            return det.status();
+        if (!value.isOk())
+            return value.status();
+        s.name = name.take();
+        s.unit = unit.take();
+        s.deterministic = det.value();
+        s.value = value.value();
+        snap.counters.push_back(std::move(s));
     }
 
     auto gauges = sectionOf("gauges");
@@ -336,15 +343,20 @@ Snapshot::parseJson(const std::string &text)
     for (const JsonValue &g : *gauges.value()) {
         if (!g.isObject())
             return parseError("gauge entry is not an object");
+        GaugeSample s;
         auto name = stringMember(g, "name");
         auto unit = stringMember(g, "unit");
         auto value = numberMember(g, "value");
-        for (const Status *st :
-             {&name.status(), &unit.status(), &value.status()}) {
-            if (!st->isOk())
-                return *st;
-        }
-        snap.gauges.push_back({name.take(), unit.take(), value.value()});
+        if (!name.isOk())
+            return name.status();
+        if (!unit.isOk())
+            return unit.status();
+        if (!value.isOk())
+            return value.status();
+        s.name = name.take();
+        s.unit = unit.take();
+        s.value = value.value();
+        snap.gauges.push_back(std::move(s));
     }
 
     auto hists = sectionOf("histograms");
@@ -353,6 +365,7 @@ Snapshot::parseJson(const std::string &text)
     for (const JsonValue &h : *hists.value()) {
         if (!h.isObject())
             return parseError("histogram entry is not an object");
+        HistogramSample s;
         auto name = stringMember(h, "name");
         auto unit = stringMember(h, "unit");
         auto det = boolMember(h, "deterministic");
@@ -371,10 +384,16 @@ Snapshot::parseJson(const std::string &text)
             if (!st->isOk())
                 return *st;
         }
-        HistogramSample s{name.take(),   unit.take(),   det.value(),
-                          lo.value(),    hi.value(),    count.value(),
-                          under.value(), over.value(),  lo_sample.value(),
-                          hi_sample.value(), {}};
+        s.name = name.take();
+        s.unit = unit.take();
+        s.deterministic = det.value();
+        s.lo = lo.value();
+        s.hi = hi.value();
+        s.count = count.value();
+        s.underflow = under.value();
+        s.overflow = over.value();
+        s.min = lo_sample.value();
+        s.max = hi_sample.value();
         if (!(s.lo < s.hi))
             return parseError(s.name + ": lo must be < hi");
         const JsonValue *buckets = h.member("buckets");

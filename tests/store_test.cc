@@ -9,7 +9,8 @@
  *     future-version refusals WITHOUT quarantine;
  *   - the three store fault probes (torn_write / fsync_fail /
  *     rename_fail) and the store.* counters they drive;
- *   - the run-checkpoint journal on top of the store;
+ *   - the run-checkpoint journal on top of the store, including a unit
+ *     that replays before any inference has registered its metrics;
  *   - telemetry snapshot JSON round-trip, deltaSince and
  *     MetricRegistry::apply (the unit-replay machinery);
  *   - Mlp serialize/deserialize and the trySave error paths;
@@ -20,6 +21,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -30,6 +32,7 @@
 #include "decoder/acoustic.hh"
 #include "dnn/mlp.hh"
 #include "fault/fault.hh"
+#include "mini_setup.hh"
 #include "store/artifact_store.hh"
 #include "store/checkpoint.hh"
 #include "telemetry/metrics.hh"
@@ -427,13 +430,20 @@ TEST(StoreFaults, RenameFailAbortsTheWrite)
 // The run-checkpoint journal.
 // ---------------------------------------------------------------------
 
+/** A replay step that accepts every unit. */
+Status
+acceptUnit(const std::string &)
+{
+    return Status::ok();
+}
+
 TEST(RunCheckpoint, UnitsRoundTripAndCountResumes)
 {
     const RunCheckpoint journal(freshRoot("journal"));
     const std::string unit_id = "NBest-90_n64_b3";
 
     EXPECT_FALSE(journal.hasUnit(unit_id));
-    ASSERT_FALSE(journal.loadUnit(unit_id).isOk());
+    ASSERT_FALSE(journal.loadUnit(unit_id, acceptUnit).isOk());
 
     const std::uint64_t resumed_before =
         counterValue("store.resumed_units");
@@ -442,7 +452,7 @@ TEST(RunCheckpoint, UnitsRoundTripAndCountResumes)
     // Committing a unit is not resuming one.
     EXPECT_EQ(counterValue("store.resumed_units"), resumed_before);
 
-    auto back = journal.loadUnit(unit_id);
+    auto back = journal.loadUnit(unit_id, acceptUnit);
     ASSERT_TRUE(back.isOk()) << back.message();
     EXPECT_EQ(back.value(), binaryPayload());
     EXPECT_EQ(counterValue("store.resumed_units"), resumed_before + 1);
@@ -467,7 +477,7 @@ TEST(RunCheckpoint, CorruptUnitIsQuarantinedAndRecomputedAsMissing)
 
     const std::uint64_t resumed_before =
         counterValue("store.resumed_units");
-    auto result = journal.loadUnit("u0");
+    auto result = journal.loadUnit("u0", acceptUnit);
     ASSERT_FALSE(result.isOk());
     // Quarantined by the store, so the caller recomputes it exactly
     // like a unit that was never committed; no resume is counted.
@@ -476,7 +486,74 @@ TEST(RunCheckpoint, CorruptUnitIsQuarantinedAndRecomputedAsMissing)
 
     // The recomputed unit commits over the now-vacant name.
     ASSERT_TRUE(journal.saveUnit("u0", "recomputed").isOk());
-    EXPECT_EQ(journal.loadUnit("u0").value(), "recomputed");
+    EXPECT_EQ(journal.loadUnit("u0", acceptUnit).value(), "recomputed");
+}
+
+TEST(RunCheckpoint, UnitReplayedBeforeAnyInferenceIsHeldToTheTable)
+{
+    // InferenceEngine registers dnn.infer.* on its first inference, so
+    // a resumed run can replay a unit naming them before they are
+    // registered. The journal is written in a child process, leaving
+    // this one with no inference run.
+    ExperimentContext ctx(miniSetup());
+    const std::vector<Utterance> utts =
+        ctx.corpus.sampleUtterances(20, 4242);
+    const SystemConfig config =
+        ctx.setup.configFor(SearchMode::Baseline, PruneLevel::None);
+    RunCheckpoint journal(freshRoot("journal_replay_first"));
+    EXPECT_EXIT(
+        {
+            ctx.system.runTestSet(utts, config, 2, &journal);
+            std::exit(0);
+        },
+        testing::ExitedWithCode(0), "");
+    ASSERT_EQ(telemetry::MetricRegistry::global().snapshot().findHistogram(
+                  "dnn.infer.window_frames"),
+              nullptr);
+
+    // Unit 0 of 3 as a build registering dnn.infer.window_frames over
+    // [0, 256) would have written it: a same-length edit, recommitted
+    // so that its CRC verifies. Unit 2 is lost, so the resume
+    // recomputes it after unit 0 has had its turn.
+    const auto unitName = [&](int batch) {
+        return RunCheckpoint::unitFileName(config.label() + "_n20_b" +
+                                           std::to_string(batch));
+    };
+    auto payload =
+        journal.store().read(unitName(0), RunCheckpoint::kUnitKind);
+    ASSERT_TRUE(payload.isOk()) << payload.message();
+    std::string edited = payload.value();
+    const std::string range = "\"lo\": 0, \"hi\": 128,";
+    const auto at = edited.find(range);
+    ASSERT_NE(at, std::string::npos);
+    edited.replace(at, range.size(), "\"lo\": 0, \"hi\": 256,");
+    ASSERT_TRUE(journal.store()
+                    .write(unitName(0), RunCheckpoint::kUnitKind, edited)
+                    .isOk());
+    ASSERT_TRUE(fs::remove(journal.store().pathOf(unitName(2))));
+
+    const std::uint64_t resumed_before =
+        counterValue("store.resumed_units");
+    const TestSetResult resumed =
+        ctx.system.runTestSet(utts, config, 2, &journal);
+    // Unit 0 was refused and recomputed; only unit 1 replayed.
+    EXPECT_EQ(counterValue("store.resumed_units"), resumed_before + 1);
+
+    const TestSetResult plain = ctx.system.runTestSet(utts, config);
+    EXPECT_EQ(resumed.outcomes, plain.outcomes);
+    EXPECT_EQ(resumed.frames, plain.frames);
+    EXPECT_EQ(resumed.survivors, plain.survivors);
+    EXPECT_EQ(resumed.generated, plain.generated);
+    EXPECT_EQ(resumed.wer.substitutions, plain.wer.substitutions);
+    EXPECT_EQ(resumed.wer.insertions, plain.wer.insertions);
+    EXPECT_EQ(resumed.wer.deletions, plain.wer.deletions);
+    EXPECT_DOUBLE_EQ(resumed.meanConfidence, plain.meanConfidence);
+    EXPECT_DOUBLE_EQ(resumed.totalJoules(), plain.totalJoules());
+    const telemetry::Snapshot after =
+        telemetry::MetricRegistry::global().snapshot();
+    const auto *window = after.findHistogram("dnn.infer.window_frames");
+    ASSERT_NE(window, nullptr);
+    EXPECT_EQ(window->hi, 128.0);
 }
 
 // ---------------------------------------------------------------------
@@ -600,6 +677,16 @@ TEST(SnapshotDelta, ApplyRefusesADisagreeingDeltaWhole)
     reg.histogram("r.hist", "s", spec).observe(2.0);
     const std::string before = reg.snapshot().toJson();
 
+    // A table histogram new to `reg`, as a unit replayed before its
+    // producer's first registration (InferenceEngine registers
+    // dnn.infer.* on its first inference) carries it, at another range.
+    telemetry::MetricRegistry producer;
+    producer.histogram("dnn.infer.window_frames", "frames", {0.0, 128.0, 32})
+        .observe(16.0);
+    telemetry::HistogramSample window =
+        producer.snapshot().histograms.front();
+    window.hi = 256.0;
+
     using Edit = std::function<void(telemetry::Snapshot &)>;
     const auto counter = [](telemetry::Snapshot &d) -> auto & {
         return d.counters.front(); // r.count
@@ -616,6 +703,7 @@ TEST(SnapshotDelta, ApplyRefusesADisagreeingDeltaWhole)
         [](auto &d) {
             d.counters.push_back({"serve.chunk", "chunks", false, 1});
         },
+        [&](auto &d) { d.histograms.push_back(window); },
     };
     for (std::size_t i = 0; i < edits.size(); ++i) {
         telemetry::Snapshot delta = good;

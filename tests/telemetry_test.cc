@@ -373,6 +373,17 @@ TEST(MetricTableDeathTest, WrongKindPanics)
         "metric 'serve\\.chunks' is a counter in the metric table");
 }
 
+TEST(MetricTableDeathTest, WrongBucketRangePanics)
+{
+    MetricRegistry reg;
+    EXPECT_DEATH(reg.histogram("dnn.infer.window_frames", "frames",
+                               {0.0, 256.0, 32}),
+                 "metric 'dnn\\.infer\\.window_frames' has buckets");
+    EXPECT_DEATH(reg.histogram("dnn.infer.window_frames", "frames",
+                               {0.0, 128.0, 64}),
+                 "metric 'dnn\\.infer\\.window_frames' has buckets");
+}
+
 #ifndef DS_METRICS_DOC
 #error "DS_METRICS_DOC must point at docs/METRICS.md"
 #endif
