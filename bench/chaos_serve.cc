@@ -40,7 +40,6 @@
 #include "bench/bench_common.hh"
 #include "fault/fault.hh"
 #include "serve/serve_bench.hh"
-#include "serve/serve_checkpoint.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 
@@ -166,13 +165,13 @@ run(int argc, char **argv)
                           {}, 9, 2, 0.0, 0});
     ScopedFaultPlan armed(std::move(plan));
 
-    ServeCheckpoint checkpoint(run_dir);
+    UnitJournal journal(run_dir);
     std::vector<SessionOutcome> chaos;
     ServeReport chaosReport;
     const auto beforeChaos =
         telemetry::MetricRegistry::global().snapshot();
     {
-        StreamingServer server(ctx.system, serve, &checkpoint);
+        StreamingServer server(ctx.system, serve, &journal);
         chaosReport = runTrace(server, events, chaos);
     }
     const auto afterChaos =
@@ -220,19 +219,18 @@ run(int argc, char **argv)
     }
     check(healthyIdentical,
           "healthy chaos sessions bit-identical to the reference");
-    check(checkpoint.hasManifest(), "drain committed a manifest");
+    check(loadServeManifest(journal, serve).isOk(),
+          "drain committed a manifest");
 
     // --- Phase 3: resume the journal under the same armed plan --------
     std::printf("\nphase 3: resume from the journal (torn units must "
                 "quarantine and recompute)\n");
-    ServeConfig resumeConfig = serve;
-    resumeConfig.resume = true;
     std::vector<SessionOutcome> resumed;
     ServeReport resumeReport;
     const auto beforeResume =
         telemetry::MetricRegistry::global().snapshot();
     {
-        StreamingServer server(ctx.system, resumeConfig, &checkpoint);
+        StreamingServer server(ctx.system, serve, &journal);
         resumeReport = runTrace(server, events, resumed);
     }
     const auto afterResume =
@@ -256,10 +254,9 @@ run(int argc, char **argv)
               serveOutcomesText(chaosReport, chaos),
           "resumed outcome dump byte-identical to the chaos run");
 
-    auto manifest = checkpoint.loadManifest();
+    // Loading under `serve`'s key checks the configuration.
+    auto manifest = loadServeManifest(journal, serve);
     check(manifest.isOk() &&
-              manifest.value().configKey ==
-                  ServeCheckpoint::configKeyOf(serve) &&
               manifest.value().offered == resumeReport.offered &&
               manifest.value().admitted == resumeReport.admitted &&
               manifest.value().shed == resumeReport.shed &&

@@ -2,32 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
+
+#include "util/pod_codec.hh"
 
 namespace darkside {
 
 namespace {
 
 constexpr float kProbabilityFloor = 1e-10f;
-
-template <typename T>
-void
-appendPod(std::string &out, const T &v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-bool
-consumePod(const std::string &in, std::size_t &offset, T &v)
-{
-    if (in.size() - offset < sizeof(T))
-        return false;
-    std::memcpy(&v, in.data() + offset, sizeof(T));
-    offset += sizeof(T);
-    return true;
-}
 
 } // namespace
 
@@ -116,16 +99,14 @@ AcousticScores::deserialize(const std::string &bytes,
         !consumePod(bytes, offset, mean_confidence)) {
         return malformed();
     }
+    AcousticScores scores;
     if (classes == 0 || cost_count == 0 || cost_count % classes != 0 ||
-        bytes.size() - offset != cost_count * sizeof(float)) {
+        !consumePodVector(bytes, offset, cost_count, scores.costs_) ||
+        offset != bytes.size()) {
         return malformed();
     }
-    AcousticScores scores;
     scores.classes_ = static_cast<std::size_t>(classes);
     scores.meanConfidence_ = mean_confidence;
-    scores.costs_.resize(static_cast<std::size_t>(cost_count));
-    std::memcpy(scores.costs_.data(), bytes.data() + offset,
-                scores.costs_.size() * sizeof(float));
     return scores;
 }
 

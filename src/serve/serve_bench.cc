@@ -28,7 +28,7 @@ runServeWorkload(AsrSystem &system, const std::vector<Utterance> &base,
     SyntheticTrafficGenerator generator(base, options.traffic);
     const std::vector<TrafficEvent> events = generator.generate();
 
-    StreamingServer server(system, options.serve, options.checkpoint);
+    StreamingServer server(system, options.serve, options.journal);
     const auto start = std::chrono::steady_clock::now();
     for (const auto &event : events) {
         if (options.paceArrivals) {

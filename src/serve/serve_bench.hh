@@ -18,8 +18,6 @@
 
 namespace darkside {
 
-class ServeCheckpoint;
-
 /** One serve workload run: server + traffic shape. */
 struct ServeWorkloadOptions
 {
@@ -34,9 +32,9 @@ struct ServeWorkloadOptions
      */
     bool paceArrivals = true;
 
-    /** Session journal for drain/resume (`darkside serve --run-dir`);
+    /** Run journal for drain/resume (`darkside serve --run-dir`);
      *  null serves without one. Must outlive the run. */
-    ServeCheckpoint *checkpoint = nullptr;
+    UnitJournal *journal = nullptr;
 };
 
 /**

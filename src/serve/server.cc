@@ -1,13 +1,16 @@
 #include "serve/server.hh"
 
 #include <algorithm>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "fault/fault.hh"
-#include "serve/serve_checkpoint.hh"
 #include "system/score_stream.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
+#include "util/bits.hh"
+#include "util/pod_codec.hh"
 
 namespace darkside {
 
@@ -119,13 +122,102 @@ sessionDelta(bool degraded)
     return delta;
 }
 
+// --- journal units: one per terminal session, plus the manifest -------
+
+constexpr const char *kManifestUnit = "serve_manifest";
+
+std::string
+sessionUnitId(std::size_t index)
+{
+    return "session_" + std::to_string(index);
+}
+
+/** Key binding a session unit to its exact inputs: the configuration
+ *  key plus the utterance (id, length) and its offer index. */
+std::uint64_t
+sessionKey(const ServeConfig &config, const Utterance &utt,
+           std::size_t index)
+{
+    std::uint64_t h = config.key();
+    h = mix64(h ^ utt.id);
+    h = mix64(h ^ utt.frames.size());
+    return mix64(h ^ index);
+}
+
+/** A session's record; its offer index and utterance id are bound by
+ *  the unit key, so they are not stored. */
+std::string
+encodeSession(const SessionOutcome &o)
+{
+    std::string out;
+    appendPod<std::uint8_t>(out, o.degraded ? 1 : 0);
+    appendString(out, o.faultCause);
+    appendPod<std::uint64_t>(out, o.frames);
+    appendPod<std::uint64_t>(out, o.chunks);
+    appendPod<double>(out, o.totalCost);
+    appendPod<std::uint64_t>(out, o.words.size());
+    for (const WordId w : o.words)
+        appendPod<std::uint32_t>(out, w);
+    return out;
+}
+
+Status
+decodeSession(const std::string &record, SessionOutcome &o)
+{
+    std::size_t offset = 0;
+    std::uint8_t degraded = 0;
+    std::uint64_t frames = 0, chunks = 0, word_count = 0;
+    if (!consumePod(record, offset, degraded) || degraded > 1 ||
+        !consumeString(record, offset, o.faultCause) ||
+        !consumePod(record, offset, frames) ||
+        !consumePod(record, offset, chunks) ||
+        !consumePod(record, offset, o.totalCost) ||
+        !consumePod(record, offset, word_count) ||
+        !consumePodVector(record, offset, word_count, o.words) ||
+        offset != record.size()) {
+        return Status::error("malformed session record");
+    }
+    o.degraded = degraded != 0;
+    o.frames = static_cast<std::size_t>(frames);
+    o.chunks = static_cast<std::size_t>(chunks);
+    return Status::ok();
+}
+
 } // namespace
+
+std::uint64_t
+ServeConfig::key() const
+{
+    return mix64(system.key() ^ chunkFrames);
+}
+
+Result<ServeManifest>
+loadServeManifest(const UnitJournal &journal, const ServeConfig &config)
+{
+    ServeManifest m;
+    const Status loaded = journal.loadUnit(
+        kManifestUnit, config.key(), [&m](const std::string &record) {
+            std::size_t offset = 0;
+            for (std::uint64_t *field :
+                 {&m.offered, &m.admitted, &m.shed, &m.completed,
+                  &m.degraded, &m.resumedSessions}) {
+                if (!consumePod(record, offset, *field))
+                    return Status::error("malformed serve manifest");
+            }
+            return offset == record.size()
+                ? Status::ok()
+                : Status::error("malformed serve manifest");
+        });
+    if (!loaded)
+        return loaded;
+    return m;
+}
 
 StreamingServer::StreamingServer(AsrSystem &system,
                                  const ServeConfig &config,
-                                 ServeCheckpoint *checkpoint)
+                                 UnitJournal *journal)
     : system_(system), config_(config), pool_(config.threads),
-      admission_(config.admission, &pool_), checkpoint_(checkpoint)
+      admission_(config.admission, &pool_), journal_(journal)
 {
     ServeMetrics::get(); // register the namespace up front
 }
@@ -193,25 +285,32 @@ StreamingServer::offer(const Utterance &utt)
     }
     metrics.offered.add(1);
 
-    if (checkpoint_ && config_.resume) {
-        // Replay path: a verified journal unit substitutes for the
-        // whole session. Its stored telemetry delta was applied by
-        // loadSession, so only the local report is updated here; the
-        // chunk/frame counters and latency histograms stay untouched
-        // (no decoding happened).
-        const std::uint64_t key =
-            ServeCheckpoint::sessionKeyOf(config_, utt, index);
-        if (auto replayed = checkpoint_->loadSession(index, key)) {
+    if (journal_) {
+        // Replay path: a journal unit whose key matches substitutes
+        // for the whole session. loadUnit applied its telemetry delta,
+        // so only the local report is updated here; the chunk/frame
+        // counters and latency histograms stay untouched (no decoding
+        // happened).
+        SessionOutcome replayed;
+        replayed.index = index;
+        replayed.utteranceId = utt.id;
+        if (journal_->loadUnit(sessionUnitId(index),
+                               sessionKey(config_, utt, index),
+                               [&replayed](const std::string &record) {
+                                   return decodeSession(record,
+                                                        replayed);
+                               })) {
+            metrics.drainResumedSessions.add(1);
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++report_.admitted;
-            if (replayed->degraded)
+            if (replayed.degraded)
                 ++report_.degraded;
             else
                 ++report_.completed;
-            report_.chunks += replayed->chunks;
-            report_.frames += replayed->frames;
+            report_.chunks += replayed.chunks;
+            report_.frames += replayed.frames;
             ++report_.resumedSessions;
-            outcomes_.push_back(std::move(*replayed));
+            outcomes_.push_back(std::move(replayed));
             return true;
         }
     }
@@ -389,13 +488,29 @@ StreamingServer::runSession(
         outcome.faultCause = e.what();
     }
 
-    if (checkpoint_) {
+    if (journal_) {
         // Journal the terminal outcome before it is published: a crash
         // after this line replays the session; a crash before it
         // recomputes it. Either way the resumed ledger matches.
-        (void)checkpoint_->saveSession(
-            ServeCheckpoint::sessionKeyOf(config_, utt, index), outcome,
-            sessionDelta(outcome.degraded));
+        const std::string unit_id = sessionUnitId(index);
+        if (journal_->saveUnit(unit_id, sessionKey(config_, utt, index),
+                               encodeSession(outcome),
+                               sessionDelta(outcome.degraded))) {
+            metrics.drainCommittedUnits.add(1);
+            // Torn-commit model: the rename landed but the page cache
+            // lied — half the frame never reached the disk. The writer
+            // believed the commit succeeded; the next load fails
+            // verification and quarantines the unit.
+            const std::string name = UnitJournal::unitFileName(unit_id);
+            if (FaultInjector::global().trigger("serve.checkpoint_torn",
+                                                faultKey(name))) {
+                std::error_code ec;
+                const std::string path = journal_->store().pathOf(name);
+                const auto size = std::filesystem::file_size(path, ec);
+                if (!ec)
+                    std::filesystem::resize_file(path, size / 2, ec);
+            }
+        }
     }
 
     const double session_us = elapsedUs(admitted);
@@ -466,18 +581,18 @@ StreamingServer::drain()
                                   firstOffer_)
                                   .count();
     }
-    if (checkpoint_ && started_ && !manifestSaved_) {
-        ServeManifest manifest;
-        manifest.configKey = ServeCheckpoint::configKeyOf(config_);
-        manifest.offered = report_.offered;
-        manifest.admitted = report_.admitted;
-        manifest.shed = report_.shed;
-        manifest.completed = report_.completed;
-        manifest.degraded = report_.degraded;
-        manifest.resumedSessions = report_.resumedSessions;
+    if (journal_ && started_ && !manifestSaved_) {
+        std::string record;
+        for (const std::uint64_t field :
+             {report_.offered, report_.admitted, report_.shed,
+              report_.completed, report_.degraded,
+              report_.resumedSessions}) {
+            appendPod(record, field);
+        }
         // Best effort: a failed manifest commit only loses the audit
         // summary, never resumability (units stand alone).
-        if (checkpoint_->saveManifest(manifest).isOk())
+        if (journal_->saveUnit(kManifestUnit, config_.key(), record,
+                               telemetry::Snapshot{}))
             manifestSaved_ = true;
     }
 }

@@ -15,8 +15,10 @@
  * only; healthy sessions decode bit-identically to batch. A circuit
  * breaker trips after K consecutive degraded sessions and half-opens
  * on a cooldown; requestDrain() refuses new offers while in-flight
- * sessions finish; an attached ServeCheckpoint journals every terminal
- * session so a killed run resumes bit-identically (docs/SERVING.md).
+ * sessions finish. An attached UnitJournal (docs/STORE.md "Run
+ * journal") commits every terminal session as a unit and replays every
+ * offer whose unit key matches, so a killed run rerun on its journal
+ * resumes bit-identically.
  */
 
 #ifndef DARKSIDE_SERVE_SERVER_HH
@@ -38,8 +40,6 @@
 #include "util/thread_pool.hh"
 
 namespace darkside {
-
-class ServeCheckpoint;
 
 /** Configuration of one StreamingServer. */
 struct ServeConfig
@@ -81,9 +81,11 @@ struct ServeConfig
      *  one probe session. */
     double breakerCooldownSeconds = 0.05;
 
-    /** Replay journaled sessions from the attached ServeCheckpoint
-     *  instead of recomputing them (requires a checkpoint). */
-    bool resume = false;
+    /** Journal key of the configuration a session unit replays under:
+     *  system.key() plus chunkFrames. Threads, pipelined scoring and the
+     *  admission budget leave a session's result unchanged, so they
+     *  stay out and a journal replays at any worker count. */
+    std::uint64_t key() const;
 };
 
 /** Aggregate serving statistics, valid after drain(). */
@@ -160,6 +162,25 @@ struct SessionOutcome
     std::size_t chunks = 0;
 };
 
+/** Final session ledger of a drained serving run, committed once the
+ *  drain finished as the journal unit `serve_manifest`. Resume does not
+ *  need it (units stand alone); it pins what a clean shutdown looked
+ *  like for audits and goldens. */
+struct ServeManifest
+{
+    std::uint64_t offered = 0;
+    std::uint64_t admitted = 0;
+    std::uint64_t shed = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t degraded = 0;
+    std::uint64_t resumedSessions = 0;
+};
+
+/** The drain manifest a server under `config` committed to `journal`;
+ *  an error when absent, corrupt or committed under another key. */
+Result<ServeManifest> loadServeManifest(const UnitJournal &journal,
+                                        const ServeConfig &config);
+
 /**
  * In-process streaming ASR server. Thread-safe: offers may come from
  * any thread; sessions run on the internal pool.
@@ -178,13 +199,13 @@ class StreamingServer
     /**
      * @param system shared read-only scoring/model state (the score
      *        cache is the only mutable part, and it is thread-safe)
-     * @param checkpoint optional session journal: terminal sessions are
-     *        committed to it, and with config.resume set, journaled
-     *        sessions are replayed instead of recomputed. Must outlive
-     *        the server.
+     * @param journal optional run journal: terminal sessions are
+     *        committed to it as units `session_<offer index>`, and an
+     *        offer whose unit key matches is replayed instead of
+     *        recomputed. Must outlive the server.
      */
     StreamingServer(AsrSystem &system, const ServeConfig &config,
-                    ServeCheckpoint *checkpoint = nullptr);
+                    UnitJournal *journal = nullptr);
 
     /** Drains in-flight sessions. */
     ~StreamingServer();
@@ -220,7 +241,7 @@ class StreamingServer
     }
 
     /** Block until every admitted session finished. Commits the
-     *  checkpoint manifest (once) when a checkpoint is attached. */
+     *  drain manifest (once) when a journal is attached. */
     void drain();
 
     /** Aggregate statistics (call after drain()). */
@@ -259,7 +280,7 @@ class StreamingServer
     ThreadPool pool_;
     AdmissionController admission_;
     PartialCallback partialCallback_;
-    ServeCheckpoint *checkpoint_;
+    UnitJournal *journal_;
 
     std::atomic<bool> draining_{false};
 

@@ -14,6 +14,7 @@
 #include "telemetry/metrics.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
+#include "util/pod_codec.hh"
 
 namespace darkside {
 
@@ -55,24 +56,6 @@ struct StoreMetrics
         return m;
     }
 };
-
-template <typename T>
-void
-appendPod(std::string &out, const T &v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-bool
-consumePod(const std::string &bytes, std::size_t &offset, T *v)
-{
-    if (bytes.size() - offset < sizeof(T))
-        return false;
-    std::memcpy(v, bytes.data() + offset, sizeof(T));
-    offset += sizeof(T);
-    return true;
-}
 
 /** Write all of `buf` to `fd`, riding out short writes and EINTR. */
 bool
@@ -287,9 +270,9 @@ ArtifactStore::read(const std::string &name,
 
     std::size_t offset = 0;
     std::uint32_t magic = 0, version = 0, kind_len = 0;
-    if (!consumePod(bytes, offset, &magic) || magic != kMagic)
+    if (!consumePod(bytes, offset, magic) || magic != kMagic)
         return corrupt("has no DSA1 frame");
-    if (!consumePod(bytes, offset, &version))
+    if (!consumePod(bytes, offset, version))
         return corrupt("has a truncated header");
     if (version > kFormatVersion) {
         // Intact data from the future: refuse without destroying it.
@@ -299,7 +282,7 @@ ArtifactStore::read(const std::string &name,
                              " > supported " +
                              std::to_string(kFormatVersion));
     }
-    if (!consumePod(bytes, offset, &kind_len) ||
+    if (!consumePod(bytes, offset, kind_len) ||
         kind_len > kMaxKindLength || bytes.size() - offset < kind_len) {
         return corrupt("has a corrupt kind tag");
     }
@@ -308,8 +291,8 @@ ArtifactStore::read(const std::string &name,
 
     std::uint64_t payload_len = 0;
     std::uint32_t expected_crc = 0;
-    if (!consumePod(bytes, offset, &payload_len) ||
-        !consumePod(bytes, offset, &expected_crc)) {
+    if (!consumePod(bytes, offset, payload_len) ||
+        !consumePod(bytes, offset, expected_crc)) {
         return corrupt("has a truncated header");
     }
     if (bytes.size() - offset != payload_len)

@@ -1,18 +1,25 @@
 /**
  * @file
- * Run checkpointing on top of the artifact store: a journal of
- * completed work units. A *unit* is an opaque payload keyed by a
- * caller-chosen unit id (AsrSystem::runTestSet uses one unit per
- * (configuration x utterance-batch)); each unit is committed as its
- * own framed artifact, so a killed run leaves only whole, verified
- * units behind. `--resume` replays the completed units and recomputes
- * the rest; a unit that fails verification is quarantined by the
- * store and recomputed like a missing one.
+ * The run journal on top of the artifact store (docs/STORE.md "Run
+ * journal"): completed work units of a long-running path, so a killed
+ * run resumes where it stopped. AsrSystem::runTestSet journals one unit
+ * per (configuration x utterance batch), StreamingServer one per
+ * terminal session plus its drain manifest. Each unit is committed as
+ * its own framed artifact, so a kill leaves only whole, verified units
+ * behind.
+ *
+ * A unit is one envelope: the key binding it to every input that
+ * changes its result, the caller's record bytes, and the unit's
+ * deterministic telemetry delta. A unit whose key matches is replayed
+ * — record decoded, delta applied — instead of recomputed; anything
+ * else (absent, quarantined, foreign key, malformed, refused) is
+ * recomputed, and replay is all-or-nothing.
  */
 
 #ifndef DARKSIDE_STORE_CHECKPOINT_HH
 #define DARKSIDE_STORE_CHECKPOINT_HH
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -21,16 +28,21 @@
 
 namespace darkside {
 
+namespace telemetry {
+struct Snapshot;
+}
+
 /** Journal of completed units inside a run directory. */
-class RunCheckpoint
+class UnitJournal
 {
   public:
-    /** @param runDir the run's artifact-store root */
-    explicit RunCheckpoint(std::string runDir)
+    /** @param runDir the run's artifact-store root (shared with the
+     *        persistent score cache) */
+    explicit UnitJournal(std::string runDir)
         : store_(std::move(runDir))
     {}
 
-    /** The underlying store (shared with the persistent score cache). */
+    /** The underlying store. */
     const ArtifactStore &store() const { return store_; }
 
     /** True when a committed unit of this id exists. */
@@ -40,42 +52,33 @@ class RunCheckpoint
         return store_.exists(unitFileName(unitId));
     }
 
-    /**
-     * Load a completed unit's payload and hand it to `replay`. A
-     * verified load that `replay` accepts counts store.resumed_units;
-     * an absent or quarantined unit, or one `replay` refuses, is a
-     * Status error and the caller recomputes it.
-     */
-    Result<std::string>
-    loadUnit(const std::string &unitId,
-             const std::function<Status(const std::string &)> &replay) const
-    {
-        auto payload = store_.read(unitFileName(unitId), kUnitKind);
-        if (!payload.isOk())
-            return payload;
-        if (Status replayed = replay(payload.value()); !replayed)
-            return replayed;
-        noteResumedUnit();
-        return payload;
-    }
+    /** Durably commit a unit: its key, the caller's record bytes and
+     *  the telemetry delta computing it produced. */
+    Status saveUnit(const std::string &unitId, std::uint64_t key,
+                    const std::string &record,
+                    const telemetry::Snapshot &delta) const;
 
-    /** Durably commit a completed unit. */
-    Status
-    saveUnit(const std::string &unitId,
-             const std::string &payload) const
-    {
-        return store_.write(unitFileName(unitId), kUnitKind, payload);
-    }
+    /**
+     * Replay a unit: check its key, parse its delta, hand its record to
+     * `decode`, then apply the delta to the global registry. An error —
+     * the caller recomputes the unit — when the unit is absent or
+     * quarantined, bound to another key, malformed, or refused by
+     * `decode` or by MetricRegistry::apply; nothing is applied then.
+     * `decode` parses into temporaries, which the caller keeps only
+     * once this returns ok.
+     */
+    Status loadUnit(
+        const std::string &unitId, std::uint64_t key,
+        const std::function<Status(const std::string &record)> &decode)
+        const;
 
     /** Store-relative artifact name of a unit id (sanitized). */
     static std::string unitFileName(const std::string &unitId);
 
     /** Payload-kind tag of journal units. */
-    static constexpr const char *kUnitKind = "run-unit-v1";
+    static constexpr const char *kUnitKind = "journal-unit-v1";
 
   private:
-    static void noteResumedUnit();
-
     ArtifactStore store_;
 };
 

@@ -7,10 +7,10 @@
 #include "decoder/watchdog.hh"
 #include "nbest/adaptive_selectors.hh"
 #include "fault/fault.hh"
-#include "store/pod_codec.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 #include "util/bits.hh"
+#include "util/pod_codec.hh"
 
 namespace darkside {
 
@@ -71,51 +71,13 @@ outcomeOf(UtteranceRun &&run)
     return o;
 }
 
-// --- checkpoint unit payload (outcomes + telemetry delta) ---------------
-
-/**
- * Key binding a checkpoint unit to its exact inputs: the configuration
- * and the ids of the utterances in the batch. A journal reused with
- * different inputs (regenerated corpus, reordered test set) misses on
- * this key and the unit is recomputed instead of silently replayed.
- */
-std::uint64_t
-inputsKeyOf(const SystemConfig &config,
-            const std::vector<Utterance> &utts, std::size_t begin,
-            std::size_t end)
-{
-    std::uint64_t h = 0xc0ffee5eedull;
-    for (const char c : config.label())
-        h = mix64(h ^ static_cast<std::uint8_t>(c));
-    std::uint32_t beam_bits = 0;
-    std::memcpy(&beam_bits, &config.beam, sizeof(beam_bits));
-    h = mix64(h ^ beam_bits);
-    h = mix64(h ^ config.nbestEntries);
-    h = mix64(h ^ config.nbestWays);
-    const auto mixFloat = [&h](float v) {
-        std::uint32_t bits = 0;
-        std::memcpy(&bits, &v, sizeof(bits));
-        h = mix64(h ^ bits);
-    };
-    mixFloat(config.relMargin);
-    h = mix64(h ^ config.relMaxSurvivors);
-    mixFloat(config.adaptiveMinMargin);
-    mixFloat(config.adaptiveMaxMargin);
-    mixFloat(config.adaptiveEmaAlpha);
-    for (std::size_t i = begin; i < end; ++i)
-        h = mix64(h ^ utts[i].id);
-    return h;
-}
+// --- journal record: one batch's outcomes ----------------------------
 
 std::string
-encodeUnit(std::uint64_t inputsKey,
-           const std::vector<UtteranceOutcome> &outcomes,
-           std::size_t begin, std::size_t end,
-           const telemetry::Snapshot &delta)
+encodeRecord(const std::vector<UtteranceOutcome> &outcomes,
+             std::size_t begin, std::size_t end)
 {
     std::string out;
-    appendPod<std::uint64_t>(out, inputsKey);
-    appendPod<std::uint64_t>(out, end - begin);
     for (std::size_t i = begin; i < end; ++i) {
         const UtteranceOutcome &o = outcomes[i];
         appendPod<std::uint8_t>(out, o.degraded ? 1 : 0);
@@ -132,77 +94,36 @@ encodeUnit(std::uint64_t inputsKey,
         for (const WordId w : o.words)
             appendPod<std::uint32_t>(out, w);
     }
-    appendString(out, delta.toJson());
     return out;
 }
 
-/**
- * Decode a unit payload into its slice of the outcome vector and
- * replay its telemetry delta. An error (journal unit unusable, caller
- * recomputes) on any mismatch — wrong inputs key, wrong batch size,
- * truncated record, unparseable delta, or a delta the registry
- * refuses.
- */
+/** Decode a record holding exactly `decoded.size()` outcomes. */
 Status
-decodeUnit(const std::string &payload, std::uint64_t expectedKey,
-           std::vector<UtteranceOutcome> &outcomes, std::size_t begin,
-           std::size_t end)
+decodeRecord(const std::string &record,
+             std::vector<UtteranceOutcome> &decoded)
 {
     std::size_t offset = 0;
-    std::uint64_t key = 0;
-    std::uint64_t count = 0;
-    if (!consumePod(payload, offset, key) ||
-        !consumePod(payload, offset, count)) {
-        return Status::error("truncated record");
-    }
-    if (key != expectedKey || count != end - begin)
-        return Status::error("bound to other inputs");
-
-    std::vector<UtteranceOutcome> decoded(count);
     for (auto &o : decoded) {
         std::uint8_t degraded = 0;
         std::uint64_t word_count = 0;
-        if (!consumePod(payload, offset, degraded) || degraded > 1 ||
-            !consumeString(payload, offset, o.faultCause) ||
-            !consumePod(payload, offset, o.frames) ||
-            !consumePod(payload, offset, o.survivors) ||
-            !consumePod(payload, offset, o.generated) ||
-            !consumePod(payload, offset, o.meanConfidence) ||
-            !consumePod(payload, offset, o.dnn.seconds) ||
-            !consumePod(payload, offset, o.dnn.joules) ||
-            !consumePod(payload, offset, o.viterbi.seconds) ||
-            !consumePod(payload, offset, o.viterbi.joules) ||
-            !consumePod(payload, offset, word_count) ||
-            payload.size() - offset <
-                word_count * sizeof(std::uint32_t)) {
-            return Status::error("truncated record");
+        if (!consumePod(record, offset, degraded) || degraded > 1 ||
+            !consumeString(record, offset, o.faultCause) ||
+            !consumePod(record, offset, o.frames) ||
+            !consumePod(record, offset, o.survivors) ||
+            !consumePod(record, offset, o.generated) ||
+            !consumePod(record, offset, o.meanConfidence) ||
+            !consumePod(record, offset, o.dnn.seconds) ||
+            !consumePod(record, offset, o.dnn.joules) ||
+            !consumePod(record, offset, o.viterbi.seconds) ||
+            !consumePod(record, offset, o.viterbi.joules) ||
+            !consumePod(record, offset, word_count) ||
+            !consumePodVector(record, offset, word_count, o.words)) {
+            return Status::error("malformed record");
         }
         o.degraded = degraded != 0;
-        o.words.resize(static_cast<std::size_t>(word_count));
-        for (auto &w : o.words) {
-            std::uint32_t raw = 0;
-            consumePod(payload, offset, raw);
-            w = raw;
-        }
     }
-    std::string delta_json;
-    if (!consumeString(payload, offset, delta_json) ||
-        offset != payload.size()) {
-        return Status::error("truncated record");
-    }
-    auto delta = telemetry::Snapshot::parseJson(delta_json);
-    if (!delta.isOk())
-        return delta.status();
-
-    // All-or-nothing: the registry refuses a disagreeing delta whole,
-    // and the outcomes move only after it accepted, so a bad unit
-    // cannot leave half a batch replayed.
-    if (Status applied =
-            telemetry::MetricRegistry::global().apply(delta.value());
-        !applied)
-        return applied;
-    for (std::size_t i = begin; i < end; ++i)
-        outcomes[i] = std::move(decoded[i - begin]);
+    if (offset != record.size())
+        return Status::error("malformed record");
     return Status::ok();
 }
 
@@ -245,6 +166,28 @@ SystemConfig::label() const
         break;
     }
     return std::string(searchModeName(mode)) + "-" + suffix;
+}
+
+std::uint64_t
+SystemConfig::key() const
+{
+    std::uint64_t h = 0xc0ffee5eedull;
+    for (const char c : label())
+        h = mix64(h ^ static_cast<std::uint8_t>(c));
+    const auto mixFloat = [&h](float v) {
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        h = mix64(h ^ bits);
+    };
+    mixFloat(beam);
+    h = mix64(h ^ nbestEntries);
+    h = mix64(h ^ nbestWays);
+    mixFloat(relMargin);
+    h = mix64(h ^ relMaxSurvivors);
+    mixFloat(adaptiveMinMargin);
+    mixFloat(adaptiveMaxMargin);
+    mixFloat(adaptiveEmaAlpha);
+    return h;
 }
 
 AsrSystem::AsrSystem(const Corpus &corpus, const Wfst &fst,
@@ -502,7 +445,7 @@ AsrSystem::runUtterance(const Utterance &utt, const SystemConfig &config)
 TestSetResult
 AsrSystem::runTestSet(const std::vector<Utterance> &utts,
                       const SystemConfig &config, std::size_t threads,
-                      RunCheckpoint *checkpoint)
+                      UnitJournal *journal)
 {
     TestSetResult result;
     result.config = config;
@@ -534,11 +477,11 @@ AsrSystem::runTestSet(const std::vector<Utterance> &utts,
         });
     };
 
-    if (!checkpoint) {
+    if (!journal) {
         if (!utts.empty())
             computeRange(0, utts.size());
     } else {
-        // Checkpointed: one journal unit per utterance batch. Each unit
+        // Journaled: one unit per utterance batch. Each unit
         // persists its slice of outcomes plus the *deterministic*
         // telemetry growth of computing it (store./fault. counters are
         // this machinery's own noise and are excluded); replaying a
@@ -553,17 +496,23 @@ AsrSystem::runTestSet(const std::vector<Utterance> &utts,
             const std::string unit_id = config.label() + "_n" +
                 std::to_string(utts.size()) + "_b" +
                 std::to_string(begin / kCheckpointBatch);
-            const std::uint64_t key =
-                inputsKeyOf(config, utts, begin, end);
+            std::uint64_t key = config.key();
+            for (std::size_t i = begin; i < end; ++i)
+                key = mix64(key ^ utts[i].id);
 
-            if (checkpoint->hasUnit(unit_id)) {
-                const auto replayed = checkpoint->loadUnit(
-                    unit_id, [&](const std::string &payload) {
-                        return decodeUnit(payload, key, outcomes, begin,
-                                          end);
+            if (journal->hasUnit(unit_id)) {
+                std::vector<UtteranceOutcome> decoded(end - begin);
+                const Status replayed = journal->loadUnit(
+                    unit_id, key, [&](const std::string &record) {
+                        return decodeRecord(record, decoded);
                     });
-                if (replayed.isOk())
+                if (replayed) {
+                    std::move(decoded.begin(), decoded.end(),
+                              outcomes.begin() +
+                                  static_cast<std::ptrdiff_t>(begin));
+                    reg.counter("store.resumed_units", "units").add(1);
                     continue;
+                }
                 warn("checkpoint: unit '%s' unusable: %s; recomputing",
                      unit_id.c_str(), replayed.message().c_str());
             }
@@ -577,8 +526,8 @@ AsrSystem::runTestSet(const std::vector<Utterance> &utts,
                     .deltaSince(before)
                     .deterministic()
                     .withoutPrefixes({"store.", "fault."});
-            const Status saved = checkpoint->saveUnit(
-                unit_id, encodeUnit(key, outcomes, begin, end, delta));
+            const Status saved = journal->saveUnit(
+                unit_id, key, encodeRecord(outcomes, begin, end), delta);
             if (!saved) {
                 // The batch itself succeeded; a journal that cannot
                 // accept the unit only costs recomputation on resume.

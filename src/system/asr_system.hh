@@ -76,6 +76,10 @@ struct SystemConfig
 
     /** "NBest-90"-style label. */
     std::string label() const;
+
+    /** Hash of all ten fields, prune and mode through label(): the
+     *  configuration part of every run-journal key (docs/STORE.md). */
+    std::uint64_t key() const;
 };
 
 /** Per-stage simulated cost. */
@@ -194,18 +198,19 @@ class AsrSystem
      *        and merged in input order, so every aggregate (WER,
      *        confidence, energy, latency percentiles) is bit-identical
      *        to the single-threaded run
-     * @param checkpoint optional run journal: the test set is processed
+     * @param journal optional run journal: the test set is processed
      *        in batches of kCheckpointBatch utterances, each committed
-     *        as one unit (outcomes + deterministic telemetry delta).
-     *        Units already in the journal are replayed instead of
-     *        recomputed, so a killed run resumed on the same journal
-     *        reproduces bit-identical aggregates at any thread count
+     *        as one unit (outcomes + deterministic telemetry delta)
+     *        keyed on config.key() and the batch's utterance ids. A
+     *        unit whose key matches is replayed instead of recomputed,
+     *        so a killed run rerun on the same journal reproduces
+     *        bit-identical aggregates at any thread count
      *        (docs/STORE.md)
      */
     TestSetResult runTestSet(const std::vector<Utterance> &utts,
                              const SystemConfig &config,
                              std::size_t threads = 1,
-                             RunCheckpoint *checkpoint = nullptr);
+                             UnitJournal *journal = nullptr);
 
     /**
      * Attach a persistent acoustic-score cache: cacheable scores are

@@ -1,12 +1,13 @@
 /**
  * @file
- * Checkpointed-run and crash-recovery suite (docs/STORE.md): proves
- * that a runTestSet journaled through RunCheckpoint reproduces the
+ * Journaled-run and crash-recovery suite (docs/STORE.md): proves
+ * that a runTestSet journaled through a UnitJournal reproduces the
  * plain run bit-identically at any thread count, whether units are
- * computed, replayed, missing, corrupt or stale; and that a torn model
- * cache write (the store.torn_write crash model) is quarantined on the
- * next load and recovered by retraining to the never-cached baseline,
- * byte for byte.
+ * computed, replayed, missing, corrupt, stale or lying about a length;
+ * that a persisted score artifact lying about its length is re-scored;
+ * and that a torn model cache write (the store.torn_write crash model)
+ * is quarantined on the next load and recovered by retraining to the
+ * never-cached baseline, byte for byte.
  *
  * Registered as a heavy test: all cases share one statically trained
  * miniature experiment context.
@@ -14,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -117,7 +121,7 @@ TEST(ResumeRun, CheckpointedRunMatchesPlainRunAtAnyThreadCount)
         context().system.runTestSet(utts, config);
 
     for (const std::size_t threads : {1u, 2u, 4u}) {
-        RunCheckpoint journal(
+        UnitJournal journal(
             freshRoot("fresh_t" + std::to_string(threads)));
 
         // First pass computes and commits every unit.
@@ -148,7 +152,7 @@ TEST(ResumeRun, ReplayedTelemetryDeltaMatchesComputedDelta)
     const std::vector<Utterance> &utts = bigTestSet();
     const SystemConfig config = baselineConfig();
     auto &reg = telemetry::MetricRegistry::global();
-    RunCheckpoint journal(freshRoot("delta"));
+    UnitJournal journal(freshRoot("delta"));
 
     // The same ignore set the CI resume-acceptance diff uses:
     // store./fault. describe the journaling itself, dnn.infer.* the
@@ -186,16 +190,16 @@ TEST(ResumeRun, PartialJournalRecomputesOnlyTheMissingUnits)
     const TestSetResult plain =
         context().system.runTestSet(utts, config);
 
-    RunCheckpoint journal(freshRoot("partial"));
+    UnitJournal journal(freshRoot("partial"));
     context().system.runTestSet(utts, config, 2, &journal);
 
     // Model a kill that lost one unit and tore another: unit 1 is
     // gone, unit 2 is garbage on disk.
     ASSERT_TRUE(fs::remove(journal.store().pathOf(
-        RunCheckpoint::unitFileName(unitId(config, utts.size(), 1)))));
+        UnitJournal::unitFileName(unitId(config, utts.size(), 1)))));
     {
         std::ofstream os(
-            journal.store().pathOf(RunCheckpoint::unitFileName(
+            journal.store().pathOf(UnitJournal::unitFileName(
                 unitId(config, utts.size(), 2))),
             std::ios::binary | std::ios::trunc);
         os << "torn by a crash";
@@ -230,21 +234,24 @@ TEST(ResumeRun, StaleUnitsFromDifferentInputsAreRecomputed)
     const SystemConfig config = baselineConfig();
     const std::vector<Utterance> &utts = bigTestSet();
     // Same size, same config, different utterances: unit ids collide
-    // but the inputs key embedded in each unit does not.
+    // but the key embedded in each unit does not.
     const std::vector<Utterance> other =
         context().corpus.sampleUtterances(20, 999);
     const TestSetResult plain_other =
         context().system.runTestSet(other, config);
 
-    RunCheckpoint journal(freshRoot("stale"));
+    UnitJournal journal(freshRoot("stale"));
     context().system.runTestSet(utts, config, 2, &journal);
 
+    const std::uint64_t resumed_before =
+        counterValue("store.resumed_units");
     const TestSetResult resumed =
         context().system.runTestSet(other, config, 2, &journal);
     expectResultsIdentical(plain_other, resumed);
-    // Every unit frame-verified but failed the inputs-key check and
-    // was recomputed — never replayed into the aggregates of the
-    // wrong inputs.
+    // Every unit frame-verified but failed the key check and was
+    // recomputed — never replayed into the aggregates of the wrong
+    // inputs.
+    EXPECT_EQ(counterValue("store.resumed_units"), resumed_before);
 
     // The journal now belongs to `other`: a further resume replays.
     const std::uint64_t resumed_mid =
@@ -253,6 +260,17 @@ TEST(ResumeRun, StaleUnitsFromDifferentInputsAreRecomputed)
         context().system.runTestSet(other, config, 1, &journal);
     expectResultsIdentical(plain_other, again);
     EXPECT_EQ(counterValue("store.resumed_units"), resumed_mid + 3);
+
+    // Same inputs and label, another beam: the unit ids collide again,
+    // the configuration part of the key does not.
+    SystemConfig wider = config;
+    wider.beam += 1.0f;
+    const std::uint64_t resumed_wider =
+        counterValue("store.resumed_units");
+    expectResultsIdentical(
+        context().system.runTestSet(other, wider),
+        context().system.runTestSet(other, wider, 2, &journal));
+    EXPECT_EQ(counterValue("store.resumed_units"), resumed_wider);
 }
 
 TEST(ResumeRun, UnitWhoseDeltaDisagreesWithTheRegistryIsRecomputed)
@@ -262,16 +280,16 @@ TEST(ResumeRun, UnitWhoseDeltaDisagreesWithTheRegistryIsRecomputed)
     const TestSetResult plain =
         context().system.runTestSet(utts, config);
 
-    RunCheckpoint journal(freshRoot("disagreeing"));
+    UnitJournal journal(freshRoot("disagreeing"));
     context().system.runTestSet(utts, config, 2, &journal);
 
     // Unit 1 as a build registering search.frames in another unit
     // would have written it: a same-length edit inside its delta,
     // recommitted through the store, so its frame and CRC verify and
-    // its inputs key matches.
+    // its key matches.
     const std::string name =
-        RunCheckpoint::unitFileName(unitId(config, utts.size(), 1));
-    auto payload = journal.store().read(name, RunCheckpoint::kUnitKind);
+        UnitJournal::unitFileName(unitId(config, utts.size(), 1));
+    auto payload = journal.store().read(name, UnitJournal::kUnitKind);
     ASSERT_TRUE(payload.isOk()) << payload.message();
     std::string edited = payload.value();
     const std::string unit = "\"name\": \"search.frames\", \"unit\": ";
@@ -279,7 +297,7 @@ TEST(ResumeRun, UnitWhoseDeltaDisagreesWithTheRegistryIsRecomputed)
     ASSERT_NE(at, std::string::npos);
     edited.replace(at, unit.size() + 8, unit + "\"framez\"");
     ASSERT_TRUE(journal.store()
-                    .write(name, RunCheckpoint::kUnitKind, edited)
+                    .write(name, UnitJournal::kUnitKind, edited)
                     .isOk());
 
     const std::uint64_t resumed_before =
@@ -296,6 +314,92 @@ TEST(ResumeRun, UnitWhoseDeltaDisagreesWithTheRegistryIsRecomputed)
     expectResultsIdentical(
         plain, context().system.runTestSet(utts, config, 1, &journal));
     EXPECT_EQ(counterValue("store.resumed_units"), resumed_mid + 3);
+}
+
+/** The u64 at `offset` of `bytes`. */
+std::uint64_t
+u64At(const std::string &bytes, std::size_t offset)
+{
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + offset, sizeof(v));
+    return v;
+}
+
+TEST(ResumeRun, UnitWhoseWordCountWrapsIsRecomputed)
+{
+    const std::vector<Utterance> &utts = bigTestSet();
+    const SystemConfig config = baselineConfig();
+    const TestSetResult plain =
+        context().system.runTestSet(utts, config);
+
+    UnitJournal journal(freshRoot("wrapping"));
+    context().system.runTestSet(utts, config, 2, &journal);
+
+    // Unit 1 with its first word count set to 2^62 + 1, whose byte
+    // size wraps to 4: a same-length edit recommitted through the
+    // store, so its frame, CRC and key verify. The envelope holds the
+    // key and the record length (16 bytes) before the record; a healthy
+    // outcome's count follows its flag, its empty cause and eight
+    // 8-byte fields.
+    const std::string name =
+        UnitJournal::unitFileName(unitId(config, utts.size(), 1));
+    auto payload = journal.store().read(name, UnitJournal::kUnitKind);
+    ASSERT_TRUE(payload.isOk()) << payload.message();
+    std::string edited = payload.value();
+    const std::size_t count_at = 16 + 1 + 8 + 8 * 8;
+    ASSERT_EQ(u64At(edited, 16 + 1), 0u); // the empty cause
+    ASSERT_LT(u64At(edited, count_at), 64u);
+    const std::uint64_t wrapping = (std::uint64_t{1} << 62) + 1;
+    std::memcpy(&edited[count_at], &wrapping, sizeof(wrapping));
+    ASSERT_TRUE(journal.store()
+                    .write(name, UnitJournal::kUnitKind, edited)
+                    .isOk());
+
+    const std::uint64_t resumed_before =
+        counterValue("store.resumed_units");
+    expectResultsIdentical(
+        plain, context().system.runTestSet(utts, config, 4, &journal));
+    EXPECT_EQ(counterValue("store.resumed_units"), resumed_before + 2);
+}
+
+TEST(ResumeRun, ScoreArtifactWhoseCostCountWrapsIsRescored)
+{
+    const Utterance &utt = bigTestSet().front();
+    const SystemConfig config = baselineConfig();
+    const auto store =
+        std::make_shared<const ArtifactStore>(freshRoot("scores"));
+    const auto freshSystem = [&] {
+        auto system = std::make_unique<AsrSystem>(
+            context().corpus, context().fst, context().zoo,
+            context().setup.platform);
+        system->attachStore(store);
+        return system;
+    };
+    freshSystem()->scoresFor(utt, config.prune);
+
+    // The persisted scores with classes 1 and the cost count raised by
+    // 2^62, whose byte size wraps to the payload's: recommitted so the
+    // frame verifies.
+    char name[64];
+    std::snprintf(name, sizeof(name), "scores/np_%016llx.bin",
+                  static_cast<unsigned long long>(utt.id));
+    auto payload = store->read(name, "acoustic-scores");
+    ASSERT_TRUE(payload.isOk()) << payload.message();
+    std::string edited = payload.value();
+    const std::uint64_t one = 1;
+    const std::uint64_t count = u64At(edited, 8) + (std::uint64_t{1} << 62);
+    std::memcpy(&edited[0], &one, sizeof(one));
+    std::memcpy(&edited[8], &count, sizeof(count));
+    ASSERT_TRUE(store->write(name, "acoustic-scores", edited).isOk());
+
+    // A fresh system (empty LRU) refuses the artifact, re-scores the
+    // utterance, decodes it as before and persists whole scores again.
+    expectResultsIdentical(
+        context().system.runTestSet({utt}, config),
+        freshSystem()->runTestSet({utt}, config));
+    auto repaired = store->read(name, "acoustic-scores");
+    ASSERT_TRUE(repaired.isOk()) << repaired.message();
+    EXPECT_TRUE(AcousticScores::deserialize(repaired.value(), name).isOk());
 }
 
 // ---------------------------------------------------------------------

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests of the serving resilience layer (docs/SERVING.md): the
- * ServeCheckpoint session journal (unit/manifest round trips, key
- * binding), drain semantics under inline ThreadPool(0|1) execution,
- * bit-identical resume of an interrupted run at several thread counts,
- * torn-unit quarantine and recompute, the serve-layer fault probes
- * (serve.admit_drop, serve.chunk_stall, serve.checkpoint_torn), the
+ * Tests of the serving resilience layer (docs/SERVING.md): the server
+ * as a run-journal client (manifest round trip, unit keys), drain
+ * semantics under inline ThreadPool(0|1) execution, bit-identical
+ * resume of an interrupted run at several thread counts, torn and
+ * crafted units quarantined or refused and recomputed, the serve-layer
+ * fault probes (serve.admit_drop, serve.chunk_stall,
+ * serve.checkpoint_torn), the
  * circuit breaker's trip/half-open/reclose cycle, and the golden
  * baseline pinning a drained-and-resumed run's aggregates
  * (tests/golden/serve_resume.json; regenerate an intentional change
@@ -17,8 +18,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,9 +29,9 @@
 #include "fault/fault.hh"
 #include "mini_setup.hh"
 #include "serve/serve_bench.hh"
-#include "serve/serve_checkpoint.hh"
 #include "serve/server.hh"
 #include "serve/traffic.hh"
+#include "store/checkpoint.hh"
 #include "system/defaults.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
@@ -117,92 +120,84 @@ runAll(StreamingServer &server, const std::vector<TrafficEvent> &events)
 }
 
 // ---------------------------------------------------------------------
-// ServeCheckpoint
+// The server as a run-journal client
 // ---------------------------------------------------------------------
 
-TEST(ServeCheckpoint, SessionUnitRoundTripsAndRejectsForeignKey)
+TEST(ServeJournal, ManifestRoundTripsUnderItsConfigKey)
 {
+    auto &ctx = resilienceContext();
+    const auto events = makeEvents(2);
+    const ServeConfig serve = resilienceConfig();
     TempRunDir dir;
-    ServeCheckpoint checkpoint(dir.path);
+    UnitJournal journal(dir.path);
+    EXPECT_FALSE(loadServeManifest(journal, serve).isOk());
 
-    SessionOutcome out;
-    out.index = 3;
-    out.utteranceId = 42;
-    out.degraded = true;
-    out.faultCause = "fault 'decoder.decode' kind Timeout key 42";
-    out.words = {4, 8, 15};
-    out.totalCost = 12.5;
-    out.frames = 80;
-    out.chunks = 5;
+    StreamingServer server(ctx.system, serve, &journal);
+    runAll(server, events);
+    const ServeReport r = server.report();
+    auto manifest = loadServeManifest(journal, serve);
+    ASSERT_TRUE(manifest.isOk()) << manifest.message();
+    EXPECT_EQ(manifest.value().offered, r.offered);
+    EXPECT_EQ(manifest.value().admitted, r.admitted);
+    EXPECT_EQ(manifest.value().shed, r.shed);
+    EXPECT_EQ(manifest.value().completed, r.completed);
+    EXPECT_EQ(manifest.value().degraded, r.degraded);
+    EXPECT_EQ(manifest.value().resumedSessions, r.resumedSessions);
 
-    telemetry::Snapshot delta;
-    delta.counters.push_back(
-        {"serve.sessions.admitted", "sessions", false, 1});
-    delta.counters.push_back(
-        {"serve.sessions.degraded", "sessions", false, 1});
-
-    EXPECT_FALSE(checkpoint.hasSession(3));
-    ASSERT_TRUE(checkpoint.saveSession(0x1234, out, delta).isOk());
-    EXPECT_TRUE(checkpoint.hasSession(3));
-
-    auto loaded = checkpoint.loadSession(3, 0x1234);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->index, out.index);
-    EXPECT_EQ(loaded->utteranceId, out.utteranceId);
-    EXPECT_EQ(loaded->degraded, out.degraded);
-    EXPECT_EQ(loaded->faultCause, out.faultCause);
-    EXPECT_EQ(loaded->words, out.words);
-    EXPECT_EQ(loaded->totalCost, out.totalCost);
-    EXPECT_EQ(loaded->frames, out.frames);
-    EXPECT_EQ(loaded->chunks, out.chunks);
-
-    // A unit bound to a different session key must miss (caller
-    // recomputes), and an absent index must miss.
-    EXPECT_FALSE(checkpoint.loadSession(3, 0x9999).has_value());
-    EXPECT_FALSE(checkpoint.loadSession(4, 0x1234).has_value());
-
-    ServeManifest manifest;
-    manifest.configKey = 7;
-    manifest.offered = 10;
-    manifest.admitted = 8;
-    manifest.shed = 2;
-    manifest.completed = 7;
-    manifest.degraded = 1;
-    manifest.resumedSessions = 3;
-    EXPECT_FALSE(checkpoint.hasManifest());
-    ASSERT_TRUE(checkpoint.saveManifest(manifest).isOk());
-    ASSERT_TRUE(checkpoint.hasManifest());
-    auto reloaded = checkpoint.loadManifest();
-    ASSERT_TRUE(reloaded.isOk());
-    EXPECT_EQ(reloaded.value().configKey, manifest.configKey);
-    EXPECT_EQ(reloaded.value().offered, manifest.offered);
-    EXPECT_EQ(reloaded.value().admitted, manifest.admitted);
-    EXPECT_EQ(reloaded.value().shed, manifest.shed);
-    EXPECT_EQ(reloaded.value().completed, manifest.completed);
-    EXPECT_EQ(reloaded.value().degraded, manifest.degraded);
-    EXPECT_EQ(reloaded.value().resumedSessions,
-              manifest.resumedSessions);
+    // Committed under another configuration's key: refused.
+    ServeConfig chunked = serve;
+    chunked.chunkFrames = 4;
+    EXPECT_FALSE(loadServeManifest(journal, chunked).isOk());
 }
 
-TEST(ServeCheckpoint, ConfigKeySeparatesConfigurations)
+TEST(ServeJournal, KeySeparatesEveryFieldThatChangesASession)
 {
     const ServeConfig base = resilienceConfig();
+    const std::uint64_t key = base.system.key();
+    const std::vector<std::function<void(SystemConfig &)>> edits = {
+        [](SystemConfig &c) { c.prune = PruneLevel::P70; },
+        [](SystemConfig &c) { c.mode = SearchMode::Baseline; },
+        [](SystemConfig &c) { c.beam += 1.0f; },
+        [](SystemConfig &c) { c.nbestEntries *= 2; },
+        [](SystemConfig &c) { c.nbestWays *= 2; },
+        [](SystemConfig &c) { c.relMargin += 1.0f; },
+        [](SystemConfig &c) { c.relMaxSurvivors += 1; },
+        [](SystemConfig &c) { c.adaptiveMinMargin += 1.0f; },
+        [](SystemConfig &c) { c.adaptiveMaxMargin += 1.0f; },
+        [](SystemConfig &c) { c.adaptiveEmaAlpha += 0.125f; },
+    };
+    for (std::size_t field = 0; field < edits.size(); ++field) {
+        SystemConfig edited = base.system;
+        edits[field](edited);
+        EXPECT_NE(edited.key(), key) << "field " << field;
+    }
+
+    // Session units: a journal replays under any worker count,
+    // scoring mode and admission budget, and not under other chunking.
+    auto &ctx = resilienceContext();
+    const auto events = makeEvents(2);
+    TempRunDir dir;
+    UnitJournal journal(dir.path);
+    {
+        StreamingServer server(ctx.system, base, &journal);
+        runAll(server, events);
+    }
+    ServeConfig same = base;
+    same.threads = 2;
+    same.pipelineScoring = !base.pipelineScoring;
+    same.admission.maxSessions = 8;
+    same.admission.maxQueueDepth = 16;
     ServeConfig chunked = base;
     chunked.chunkFrames = 4;
-    ServeConfig beamed = base;
-    beamed.system.beam += 1.0f;
-
-    const std::uint64_t key = ServeCheckpoint::configKeyOf(base);
-    EXPECT_EQ(key, ServeCheckpoint::configKeyOf(base));
-    EXPECT_NE(key, ServeCheckpoint::configKeyOf(chunked));
-    EXPECT_NE(key, ServeCheckpoint::configKeyOf(beamed));
-
-    // resume/threads do not change what a session computes, so they
-    // must not change the key (a resumed run reuses the journal).
-    ServeConfig resumed = base;
-    resumed.resume = true;
-    resumed.threads = 4;
-    EXPECT_EQ(key, ServeCheckpoint::configKeyOf(resumed));
+    EXPECT_EQ(same.key(), base.key());
+    EXPECT_NE(chunked.key(), base.key());
+    for (const auto &[config, replayed] :
+         {std::pair{same, events.size()}, std::pair{chunked, 0ul}}) {
+        StreamingServer server(ctx.system, config, &journal);
+        runAll(server, events);
+        EXPECT_EQ(server.report().resumedSessions, replayed)
+            << "chunk " << config.chunkFrames;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -271,18 +266,28 @@ TEST(ServeResilience, ResumeReproducesInterruptedRunAtAnyThreadCount)
     const auto events = makeEvents(6);
     const ServeConfig serve = resilienceConfig();
 
+    // Session 1 degrades in every run that decodes it, so the journal
+    // round-trips a degraded outcome (cause, frames, chunks) as well
+    // as healthy ones (words, cost).
+    FaultPlan plan;
+    plan.seed = 1;
+    plan.rules.push_back({"decoder.decode", FaultKind::Timeout,
+                          {events[1].utterance.id}, 0, 0, 0.0, 0});
+    ScopedFaultPlan armed(std::move(plan));
+
     // Uninterrupted reference, no journal.
     std::string reference;
     {
         StreamingServer server(ctx.system, serve);
         reference = runAll(server, events);
     }
+    ASSERT_NE(reference.find(" degraded frames "), std::string::npos);
 
     // "Killed" run: only half the trace reaches the journal.
     TempRunDir dir;
-    ServeCheckpoint checkpoint(dir.path);
+    UnitJournal journal(dir.path);
     {
-        StreamingServer server(ctx.system, serve, &checkpoint);
+        StreamingServer server(ctx.system, serve, &journal);
         for (std::size_t i = 0; i < events.size() / 2; ++i)
             server.offer(events[i].utterance);
         server.drain();
@@ -295,9 +300,8 @@ TEST(ServeResilience, ResumeReproducesInterruptedRunAtAnyThreadCount)
     bool first = true;
     for (std::size_t threads : {0u, 2u, 4u}) {
         ServeConfig resumeConfig = serve;
-        resumeConfig.resume = true;
         resumeConfig.threads = threads;
-        StreamingServer server(ctx.system, resumeConfig, &checkpoint);
+        StreamingServer server(ctx.system, resumeConfig, &journal);
         EXPECT_EQ(runAll(server, events), reference)
             << "threads=" << threads;
         const ServeReport r = server.report();
@@ -316,62 +320,61 @@ TEST(ServeResilience, TornUnitQuarantinesAndRecomputes)
     const ServeConfig serve = resilienceConfig();
 
     TempRunDir dir;
-    ServeCheckpoint checkpoint(dir.path);
+    UnitJournal journal(dir.path);
     std::string reference;
     {
-        StreamingServer server(ctx.system, serve, &checkpoint);
+        StreamingServer server(ctx.system, serve, &journal);
         reference = runAll(server, events);
     }
 
     // Tear one committed unit in place, the way a crash mid-writeback
     // would: the frame no longer verifies, so resume must quarantine
     // it and recompute that session instead of trusting it.
-    const std::string torn = checkpoint.store().pathOf(
-        ServeCheckpoint::sessionUnitName(1));
+    const std::string torn =
+        journal.store().pathOf(UnitJournal::unitFileName("session_1"));
     const auto size = std::filesystem::file_size(torn);
     std::filesystem::resize_file(torn, size / 2);
 
-    ServeConfig resumeConfig = serve;
-    resumeConfig.resume = true;
-    StreamingServer server(ctx.system, resumeConfig, &checkpoint);
+    StreamingServer server(ctx.system, serve, &journal);
     EXPECT_EQ(runAll(server, events), reference);
     const ServeReport r = server.report();
     EXPECT_TRUE(ledgerHolds(r));
     EXPECT_EQ(r.resumedSessions, events.size() - 1);
     // The recomputed session was re-journaled whole.
-    EXPECT_TRUE(checkpoint.hasSession(1));
+    EXPECT_TRUE(journal.hasUnit("session_1"));
     EXPECT_EQ(std::filesystem::file_size(torn), size);
 }
 
-TEST(ServeResilience, UnitWhoseDeltaDisagreesWithTheRegistryRecomputes)
+/**
+ * Journal a 4-session trace, apply `edit` to session 1's unit and
+ * recommit it through the store (so its frame, CRC and key verify),
+ * then rerun: the edited unit is refused and recomputed, the other
+ * three replay, and the outcome dump equals the uninterrupted run.
+ */
+void
+expectEditedUnitRecomputes(const std::function<void(std::string &)> &edit)
 {
     auto &ctx = resilienceContext();
     const auto events = makeEvents(4);
     const ServeConfig serve = resilienceConfig();
 
     TempRunDir dir;
-    ServeCheckpoint checkpoint(dir.path);
+    UnitJournal journal(dir.path);
     std::string reference;
     {
-        StreamingServer server(ctx.system, serve, &checkpoint);
+        StreamingServer server(ctx.system, serve, &journal);
         reference = runAll(server, events);
     }
 
-    // Session 1's unit as a build registering the session ledger in
-    // another unit would have written it: a same-length edit inside
-    // its delta, recommitted through the store so it verifies.
-    const std::string name = ServeCheckpoint::sessionUnitName(1);
-    auto payload =
-        checkpoint.store().read(name, ServeCheckpoint::kSessionKind);
+    const std::string name = UnitJournal::unitFileName("session_1");
+    auto payload = journal.store().read(name, UnitJournal::kUnitKind);
     ASSERT_TRUE(payload.isOk()) << payload.message();
     std::string edited = payload.value();
-    const std::string unit =
-        "\"name\": \"serve.sessions.completed\", \"unit\": ";
-    const auto at = edited.find(unit + "\"sessions\"");
-    ASSERT_NE(at, std::string::npos);
-    edited.replace(at, unit.size() + 10, unit + "\"sessionz\"");
-    ASSERT_TRUE(checkpoint.store()
-                    .write(name, ServeCheckpoint::kSessionKind, edited)
+    edit(edited);
+    if (testing::Test::HasFatalFailure())
+        return;
+    ASSERT_TRUE(journal.store()
+                    .write(name, UnitJournal::kUnitKind, edited)
                     .isOk());
 
     const auto resumedCounter = [] {
@@ -379,14 +382,44 @@ TEST(ServeResilience, UnitWhoseDeltaDisagreesWithTheRegistryRecomputes)
         return snap.findCounter("serve.drain.resumed_sessions")->value;
     };
     const std::uint64_t resumed_before = resumedCounter();
-    ServeConfig resumeConfig = serve;
-    resumeConfig.resume = true;
-    StreamingServer server(ctx.system, resumeConfig, &checkpoint);
+    StreamingServer server(ctx.system, serve, &journal);
     EXPECT_EQ(runAll(server, events), reference);
     const ServeReport r = server.report();
     EXPECT_TRUE(ledgerHolds(r));
     EXPECT_EQ(r.resumedSessions, events.size() - 1);
     EXPECT_EQ(resumedCounter(), resumed_before + events.size() - 1);
+}
+
+TEST(ServeResilience, UnitWhoseDeltaDisagreesWithTheRegistryRecomputes)
+{
+    // Session 1's unit as a build registering the session ledger in
+    // another unit would have written it: a same-length edit inside
+    // its delta.
+    expectEditedUnitRecomputes([](std::string &unit_bytes) {
+        const std::string unit =
+            "\"name\": \"serve.sessions.completed\", \"unit\": ";
+        const auto at = unit_bytes.find(unit + "\"sessions\"");
+        ASSERT_NE(at, std::string::npos);
+        unit_bytes.replace(at, unit.size() + 10, unit + "\"sessionz\"");
+    });
+}
+
+TEST(ServeResilience, UnitWhoseWordCountWrapsRecomputes)
+{
+    // The word count set to 2^62 + 1, whose byte size wraps to 4. The
+    // envelope holds the key and the record length (16 bytes) before
+    // the record; a healthy session's count follows its flag, its
+    // empty cause and three 8-byte fields.
+    expectEditedUnitRecomputes([](std::string &unit_bytes) {
+        const std::size_t count_at = 16 + 1 + 8 + 3 * 8;
+        std::uint64_t cause_length = 0, count = 0;
+        std::memcpy(&cause_length, &unit_bytes[16 + 1], sizeof(count));
+        std::memcpy(&count, &unit_bytes[count_at], sizeof(count));
+        ASSERT_EQ(cause_length, 0u);
+        ASSERT_LT(count, 64u);
+        count = (std::uint64_t{1} << 62) + 1;
+        std::memcpy(&unit_bytes[count_at], &count, sizeof(count));
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -456,7 +489,7 @@ TEST(ServeResilience, CheckpointTornProbeQuarantinesOnResume)
     const ServeConfig serve = resilienceConfig();
 
     TempRunDir dir;
-    ServeCheckpoint checkpoint(dir.path);
+    UnitJournal journal(dir.path);
     {
         // Tear exactly the commit of offer index 0 — the probe is
         // keyed on the hash of the unit's store-relative name.
@@ -464,10 +497,10 @@ TEST(ServeResilience, CheckpointTornProbeQuarantinesOnResume)
         plan.seed = 1;
         plan.rules.push_back(
             {"serve.checkpoint_torn", FaultKind::IoError,
-             {faultKey(ServeCheckpoint::sessionUnitName(0))}, 0, 0,
+             {faultKey(UnitJournal::unitFileName("session_0"))}, 0, 0,
              0.0, 0});
         ScopedFaultPlan armed(std::move(plan));
-        StreamingServer server(ctx.system, serve, &checkpoint);
+        StreamingServer server(ctx.system, serve, &journal);
         runAll(server, events);
     }
 
@@ -480,14 +513,12 @@ TEST(ServeResilience, CheckpointTornProbeQuarantinesOnResume)
 
     // Plan disarmed: the resume quarantines the torn unit, recomputes
     // that session, and the re-commit stays whole.
-    ServeConfig resumeConfig = serve;
-    resumeConfig.resume = true;
-    StreamingServer server(ctx.system, resumeConfig, &checkpoint);
+    StreamingServer server(ctx.system, serve, &journal);
     EXPECT_EQ(runAll(server, events), reference);
     const ServeReport r = server.report();
     EXPECT_TRUE(ledgerHolds(r));
     EXPECT_EQ(r.resumedSessions, events.size() - 1);
-    EXPECT_TRUE(checkpoint.hasSession(0));
+    EXPECT_TRUE(journal.hasUnit("session_0"));
 }
 
 // ---------------------------------------------------------------------
@@ -588,16 +619,15 @@ deriveResumeAggregates()
     const ServeConfig serve = resilienceConfig();
 
     TempRunDir dir;
-    ServeCheckpoint checkpoint(dir.path);
+    UnitJournal journal(dir.path);
     {
-        StreamingServer server(ctx.system, serve, &checkpoint);
+        StreamingServer server(ctx.system, serve, &journal);
         runAll(server, events);
     }
 
     ServeConfig resumeConfig = serve;
-    resumeConfig.resume = true;
     resumeConfig.threads = 2;
-    StreamingServer server(ctx.system, resumeConfig, &checkpoint);
+    StreamingServer server(ctx.system, resumeConfig, &journal);
     runAll(server, events);
     const ServeReport r = server.report();
     return {r.offered,   r.admitted, r.shed,

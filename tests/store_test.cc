@@ -9,8 +9,9 @@
  *     future-version refusals WITHOUT quarantine;
  *   - the three store fault probes (torn_write / fsync_fail /
  *     rename_fail) and the store.* counters they drive;
- *   - the run-checkpoint journal on top of the store, including a unit
- *     that replays before any inference has registered its metrics;
+ *   - the run journal on top of the store (envelope round trip, key
+ *     and record refusals, foreign kinds), including a unit that
+ *     replays before any inference has registered its metrics;
  *   - telemetry snapshot JSON round-trip, deltaSince and
  *     MetricRegistry::apply (the unit-replay machinery);
  *   - Mlp serialize/deserialize and the trySave error paths;
@@ -22,10 +23,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -427,69 +430,135 @@ TEST(StoreFaults, RenameFailAbortsTheWrite)
 }
 
 // ---------------------------------------------------------------------
-// The run-checkpoint journal.
+// The run journal.
 // ---------------------------------------------------------------------
 
-/** A replay step that accepts every unit. */
-Status
-acceptUnit(const std::string &)
+/** A one-counter delta under the registry's free-form t. prefix. */
+telemetry::Snapshot
+oneUnitDelta()
 {
-    return Status::ok();
+    telemetry::Snapshot delta;
+    delta.counters.push_back({"t.journal.units", "units", true, 1});
+    return delta;
 }
 
-TEST(RunCheckpoint, UnitsRoundTripAndCountResumes)
+/** The record of unit `id` when it replays under `key`. */
+std::optional<std::string>
+replayedRecord(const UnitJournal &journal, const std::string &id,
+               std::uint64_t key)
 {
-    const RunCheckpoint journal(freshRoot("journal"));
+    std::string record;
+    const Status loaded =
+        journal.loadUnit(id, key, [&record](const std::string &r) {
+            record = r;
+            return Status::ok();
+        });
+    if (!loaded)
+        return std::nullopt;
+    return record;
+}
+
+TEST(UnitJournal, UnitsRoundTripAndApplyTheirDelta)
+{
+    const UnitJournal journal(freshRoot("journal"));
     const std::string unit_id = "NBest-90_n64_b3";
 
     EXPECT_FALSE(journal.hasUnit(unit_id));
-    ASSERT_FALSE(journal.loadUnit(unit_id, acceptUnit).isOk());
+    EXPECT_EQ(replayedRecord(journal, unit_id, 7), std::nullopt);
 
-    const std::uint64_t resumed_before =
-        counterValue("store.resumed_units");
-    ASSERT_TRUE(journal.saveUnit(unit_id, binaryPayload()).isOk());
+    ASSERT_TRUE(
+        journal.saveUnit(unit_id, 7, binaryPayload(), oneUnitDelta())
+            .isOk());
     EXPECT_TRUE(journal.hasUnit(unit_id));
-    // Committing a unit is not resuming one.
-    EXPECT_EQ(counterValue("store.resumed_units"), resumed_before);
-
-    auto back = journal.loadUnit(unit_id, acceptUnit);
-    ASSERT_TRUE(back.isOk()) << back.message();
-    EXPECT_EQ(back.value(), binaryPayload());
-    EXPECT_EQ(counterValue("store.resumed_units"), resumed_before + 1);
+    // Committing a unit applies nothing; replaying it applies its
+    // delta once.
+    const std::uint64_t before = counterValue("t.journal.units");
+    EXPECT_EQ(replayedRecord(journal, unit_id, 7), binaryPayload());
+    EXPECT_EQ(counterValue("t.journal.units"), before + 1);
 }
 
-TEST(RunCheckpoint, UnitFileNamesAreSanitizedAndDistinct)
+TEST(UnitJournal, RefusedUnitsApplyNothing)
 {
-    EXPECT_EQ(RunCheckpoint::unitFileName("NBest-90_n64_b3"),
+    const UnitJournal journal(freshRoot("journal_refused"));
+    ASSERT_TRUE(
+        journal.saveUnit("u0", 7, "record", oneUnitDelta()).isOk());
+    const std::uint64_t before = counterValue("t.journal.units");
+    bool decoded = false;
+    const auto refuse = [&decoded](const std::string &) {
+        decoded = true;
+        return Status::error("refused");
+    };
+
+    // Another key: refused before the record is decoded.
+    EXPECT_FALSE(journal.loadUnit("u0", 8, refuse).isOk());
+    EXPECT_FALSE(decoded);
+    // The caller refuses the record: the delta is not applied.
+    EXPECT_FALSE(journal.loadUnit("u0", 7, refuse).isOk());
+    EXPECT_TRUE(decoded);
+    EXPECT_EQ(counterValue("t.journal.units"), before);
+    // Neither refusal quarantined the intact unit.
+    EXPECT_EQ(replayedRecord(journal, "u0", 7), "record");
+    EXPECT_EQ(counterValue("t.journal.units"), before + 1);
+
+    // A verified frame whose envelope does not parse.
+    ASSERT_TRUE(journal.store()
+                    .write(UnitJournal::unitFileName("u1"),
+                           UnitJournal::kUnitKind, "short")
+                    .isOk());
+    EXPECT_EQ(replayedRecord(journal, "u1", 7), std::nullopt);
+}
+
+TEST(UnitJournal, UnitOfAnotherKindIsRefusedWithoutQuarantine)
+{
+    // A unit an older build committed under its own kind tag: refused
+    // with its bytes intact, then recomputed over once.
+    const UnitJournal journal(freshRoot("journal_kind"));
+    const std::string name = UnitJournal::unitFileName("u0");
+    ASSERT_TRUE(journal.store().write(name, "run-unit-v1", "old").isOk());
+    const std::uint64_t quarantined_before =
+        counterValue("store.quarantined");
+
+    EXPECT_EQ(replayedRecord(journal, "u0", 7), std::nullopt);
+    EXPECT_TRUE(journal.hasUnit("u0"));
+    EXPECT_EQ(counterValue("store.quarantined"), quarantined_before);
+
+    ASSERT_TRUE(
+        journal.saveUnit("u0", 7, "record", oneUnitDelta()).isOk());
+    EXPECT_EQ(replayedRecord(journal, "u0", 7), "record");
+}
+
+TEST(UnitJournal, UnitFileNamesAreSanitizedAndDistinct)
+{
+    EXPECT_EQ(UnitJournal::unitFileName("NBest-90_n64_b3"),
               "units/NBest-90_n64_b3.bin");
-    EXPECT_EQ(RunCheckpoint::unitFileName("a/b c!"), "units/a_b_c_.bin");
-    EXPECT_NE(RunCheckpoint::unitFileName("x1"),
-              RunCheckpoint::unitFileName("x2"));
+    EXPECT_EQ(UnitJournal::unitFileName("a/b c!"), "units/a_b_c_.bin");
+    EXPECT_NE(UnitJournal::unitFileName("x1"),
+              UnitJournal::unitFileName("x2"));
 }
 
-TEST(RunCheckpoint, CorruptUnitIsQuarantinedAndRecomputedAsMissing)
+TEST(UnitJournal, CorruptUnitIsQuarantinedAndRecomputedAsMissing)
 {
-    const RunCheckpoint journal(freshRoot("journal_corrupt"));
-    ASSERT_TRUE(journal.saveUnit("u0", "unit payload").isOk());
+    const UnitJournal journal(freshRoot("journal_corrupt"));
+    ASSERT_TRUE(
+        journal.saveUnit("u0", 7, "unit record", oneUnitDelta()).isOk());
     writeFileBytes(
-        journal.store().pathOf(RunCheckpoint::unitFileName("u0")),
+        journal.store().pathOf(UnitJournal::unitFileName("u0")),
         "scribble");
 
-    const std::uint64_t resumed_before =
-        counterValue("store.resumed_units");
-    auto result = journal.loadUnit("u0", acceptUnit);
-    ASSERT_FALSE(result.isOk());
+    const std::uint64_t before = counterValue("t.journal.units");
+    EXPECT_EQ(replayedRecord(journal, "u0", 7), std::nullopt);
     // Quarantined by the store, so the caller recomputes it exactly
-    // like a unit that was never committed; no resume is counted.
+    // like a unit that was never committed; nothing is applied.
     EXPECT_FALSE(journal.hasUnit("u0"));
-    EXPECT_EQ(counterValue("store.resumed_units"), resumed_before);
+    EXPECT_EQ(counterValue("t.journal.units"), before);
 
     // The recomputed unit commits over the now-vacant name.
-    ASSERT_TRUE(journal.saveUnit("u0", "recomputed").isOk());
-    EXPECT_EQ(journal.loadUnit("u0", acceptUnit).value(), "recomputed");
+    ASSERT_TRUE(
+        journal.saveUnit("u0", 7, "recomputed", oneUnitDelta()).isOk());
+    EXPECT_EQ(replayedRecord(journal, "u0", 7), "recomputed");
 }
 
-TEST(RunCheckpoint, UnitReplayedBeforeAnyInferenceIsHeldToTheTable)
+TEST(UnitJournal, UnitReplayedBeforeAnyInferenceIsHeldToTheTable)
 {
     // InferenceEngine registers dnn.infer.* on its first inference, so
     // a resumed run can replay a unit naming them before they are
@@ -500,7 +569,7 @@ TEST(RunCheckpoint, UnitReplayedBeforeAnyInferenceIsHeldToTheTable)
         ctx.corpus.sampleUtterances(20, 4242);
     const SystemConfig config =
         ctx.setup.configFor(SearchMode::Baseline, PruneLevel::None);
-    RunCheckpoint journal(freshRoot("journal_replay_first"));
+    UnitJournal journal(freshRoot("journal_replay_first"));
     EXPECT_EXIT(
         {
             ctx.system.runTestSet(utts, config, 2, &journal);
@@ -516,11 +585,11 @@ TEST(RunCheckpoint, UnitReplayedBeforeAnyInferenceIsHeldToTheTable)
     // so that its CRC verifies. Unit 2 is lost, so the resume
     // recomputes it after unit 0 has had its turn.
     const auto unitName = [&](int batch) {
-        return RunCheckpoint::unitFileName(config.label() + "_n20_b" +
-                                           std::to_string(batch));
+        return UnitJournal::unitFileName(config.label() + "_n20_b" +
+                                         std::to_string(batch));
     };
     auto payload =
-        journal.store().read(unitName(0), RunCheckpoint::kUnitKind);
+        journal.store().read(unitName(0), UnitJournal::kUnitKind);
     ASSERT_TRUE(payload.isOk()) << payload.message();
     std::string edited = payload.value();
     const std::string range = "\"lo\": 0, \"hi\": 128,";
@@ -528,7 +597,7 @@ TEST(RunCheckpoint, UnitReplayedBeforeAnyInferenceIsHeldToTheTable)
     ASSERT_NE(at, std::string::npos);
     edited.replace(at, range.size(), "\"lo\": 0, \"hi\": 256,");
     ASSERT_TRUE(journal.store()
-                    .write(unitName(0), RunCheckpoint::kUnitKind, edited)
+                    .write(unitName(0), UnitJournal::kUnitKind, edited)
                     .isOk());
     ASSERT_TRUE(fs::remove(journal.store().pathOf(unitName(2))));
 
@@ -860,6 +929,14 @@ TEST(AcousticScoresSerialize, DeserializeRejectsMalformedBytes)
             .isOk());
     EXPECT_FALSE(
         AcousticScores::deserialize(bytes + "x", "long").isOk());
+
+    // A cost count whose byte size wraps to the payload's (classes 1,
+    // count 2 + 2^62): refused, not sized.
+    std::string wrapped = bytes;
+    const std::uint64_t one = 1, count = 2 + (std::uint64_t{1} << 62);
+    std::memcpy(&wrapped[0], &one, sizeof(one));
+    std::memcpy(&wrapped[8], &count, sizeof(count));
+    EXPECT_FALSE(AcousticScores::deserialize(wrapped, "wrapped").isOk());
 }
 
 } // namespace

@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/bits.hh"
 #include "util/edit_distance.hh"
 #include "util/json.hh"
+#include "util/pod_codec.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 #include "util/text_table.hh"
@@ -437,6 +441,36 @@ TEST(Json, NonNegativeIntegerPredicate)
         JsonValue::parse("1.5", &error).isNonNegativeInteger());
     EXPECT_FALSE(
         JsonValue::parse("true", &error).isNonNegativeInteger());
+}
+
+TEST(PodCodec, VectorCountIsCheckedAgainstTheBytesLeft)
+{
+    // Two u32 values after an 8-byte header, then a stray byte.
+    std::string bytes(8, '\0');
+    appendPod<std::uint32_t>(bytes, 7);
+    appendPod<std::uint32_t>(bytes, 9);
+    bytes += 'x';
+
+    // The exact fit of two values, and an empty vector.
+    std::size_t offset = 8;
+    std::vector<std::uint32_t> v;
+    ASSERT_TRUE(consumePodVector(bytes, offset, 2, v));
+    EXPECT_EQ(v, (std::vector<std::uint32_t>{7, 9}));
+    EXPECT_EQ(offset, 16u);
+    ASSERT_TRUE(consumePodVector(bytes, offset, 0, v));
+    EXPECT_TRUE(v.empty());
+
+    // One element short, and counts whose byte size wraps (2^62 + 1
+    // and 2^64 - 1 values of 4 bytes): refused before v is sized.
+    for (const std::uint64_t count :
+         {std::uint64_t{3}, (std::uint64_t{1} << 62) + 1,
+          ~std::uint64_t{0}}) {
+        offset = 8;
+        v = {1};
+        EXPECT_FALSE(consumePodVector(bytes, offset, count, v)) << count;
+        EXPECT_EQ(offset, 8u);
+        EXPECT_EQ(v, std::vector<std::uint32_t>{1});
+    }
 }
 
 } // namespace

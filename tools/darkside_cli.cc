@@ -33,7 +33,6 @@
 #include "nbest/adaptive_selectors.hh"
 #include "nbest/selectors.hh"
 #include "serve/serve_bench.hh"
-#include "serve/serve_checkpoint.hh"
 #include "store/checkpoint.hh"
 #include "system/defaults.hh"
 #include "telemetry/metrics.hh"
@@ -504,12 +503,9 @@ cmdSweep(int argc, const char *const *argv)
                    "the full configuration matrix (Figs. 11/12)");
     addSetupFlags(args);
     args.addOption("run-dir",
-                   "run directory: checkpoint journal + persistent "
-                   "score cache ('' = no checkpointing)",
+                   "run directory: journal (units whose key matches "
+                   "replay) + persistent score cache ('' = none)",
                    "");
-    args.addSwitch("resume",
-                   "resume a killed run: replay completed units from "
-                   "--run-dir's journal");
     args.addOption("threads", "decode worker threads", 1.0);
     args.addOption("modes",
                    "comma-separated search modes to sweep "
@@ -526,30 +522,26 @@ cmdSweep(int argc, const char *const *argv)
         fatal("--threads must be at least 1");
 
     const std::string &run_dir = args.get("run-dir");
-    if (args.getSwitch("resume") && run_dir.empty())
-        fatal("--resume requires --run-dir");
-    std::optional<RunCheckpoint> checkpoint;
+    std::optional<UnitJournal> journal;
     if (!run_dir.empty()) {
-        checkpoint.emplace(run_dir);
+        journal.emplace(run_dir);
         // The run directory doubles as the persistent score cache, so
         // a resumed run does not re-score utterances from batches that
         // never committed.
         ctx.system.attachStore(
             std::make_shared<const ArtifactStore>(run_dir));
-        inform("sweep: %s checkpointed run in '%s'",
-               args.getSwitch("resume") ? "resuming" : "starting",
-               run_dir.c_str());
+        inform("sweep: journaled run in '%s'", run_dir.c_str());
     }
 
     // Run the whole matrix, then normalize against its first row
-    // (Baseline-NP): one run per configuration keeps checkpoint unit
-    // ids collision-free.
+    // (Baseline-NP): one run per configuration keeps journal unit ids
+    // collision-free.
     std::vector<TestSetResult> results;
     for (SearchMode mode : modesFrom(args.get("modes"))) {
         for (PruneLevel level : kAllPruneLevels) {
             results.push_back(ctx.system.runTestSet(
                 ctx.testSet, setup.configFor(mode, level), threads,
-                checkpoint ? &*checkpoint : nullptr));
+                journal ? &*journal : nullptr));
         }
     }
     const double norm_t = results.front().totalSeconds();
@@ -609,12 +601,9 @@ cmdServe(int argc, const char *const *argv)
                    "before half-opening",
                    0.05);
     args.addOption("run-dir",
-                   "run directory: session journal + persistent score "
-                   "cache ('' = no checkpointing)",
+                   "run directory: journal (sessions whose key matches "
+                   "replay) + persistent score cache ('' = none)",
                    "");
-    args.addSwitch("resume",
-                   "resume a killed run: replay journaled sessions "
-                   "from --run-dir");
     args.addOption("outcomes",
                    "write the deterministic per-session outcome dump "
                    "to this path",
@@ -671,21 +660,16 @@ cmdServe(int argc, const char *const *argv)
         fatal("--max-sessions must be at least 1");
 
     const std::string &run_dir = args.get("run-dir");
-    if (args.getSwitch("resume") && run_dir.empty())
-        fatal("--resume requires --run-dir");
-    std::optional<ServeCheckpoint> checkpoint;
+    std::optional<UnitJournal> journal;
     if (!run_dir.empty()) {
-        checkpoint.emplace(run_dir);
+        journal.emplace(run_dir);
         // The run directory doubles as the persistent score cache, so
         // a resumed run does not re-score utterances whose sessions
         // never committed.
         ctx.system.attachStore(
             std::make_shared<const ArtifactStore>(run_dir));
-        options.checkpoint = &*checkpoint;
-        options.serve.resume = args.getSwitch("resume");
-        inform("serve: %s checkpointed run in '%s'",
-               options.serve.resume ? "resuming" : "starting",
-               run_dir.c_str());
+        options.journal = &*journal;
+        inform("serve: journaled run in '%s'", run_dir.c_str());
     }
 
     // Warm the serving level's model + inference engine before the
