@@ -57,9 +57,12 @@ showCase(const char *label, const Vector &posteriors,
     for (int i = 0; i < 5; ++i) {
         const bool keep = costs[i] <= best + beam;
         survivors += keep ? 1 : 0;
+        // Appended, not "S" + std::to_string(...): gcc 12 flags that
+        // with a false -Werror=restrict.
+        std::string sub_phoneme = "S";
+        sub_phoneme += std::to_string(candidates[i].subPhoneme + 1);
         table.row(
-            {candidates[i].name,
-             "S" + std::to_string(candidates[i].subPhoneme + 1),
+            {candidates[i].name, sub_phoneme,
              TextTable::num(candidates[i].sourceCost, 2),
              TextTable::num(costs[i] - candidates[i].sourceCost, 2),
              TextTable::num(costs[i], 2), keep ? "kept" : "discarded"});

@@ -25,6 +25,17 @@
  * DRAM behaviour: 32 in-flight requests (Table III) make misses
  * bandwidth- rather than latency-bound; each 64 B line occupies the
  * channel bandwidth/frequency bytes-per-cycle.
+ *
+ * AsrSystem::runUtterance runs the simulator beside the search rather
+ * than inside it: a PipedSearchObserver (decoder/piped_observer.hh)
+ * records the expanded-state stream and each frame's activity on the
+ * decode thread, in batches of 8 frames with at most 3 in flight, and
+ * a helper thread replays them into the simulator. The replay makes
+ * the same calls in the same order from one thread, and the simulator
+ * reads nothing else of the decode (the WFST is immutable), so every
+ * cycle, cache statistic and joule is bit-identical to a simulator
+ * attached to the decode directly. The search telemetry and the decode
+ * watchdog stay on the decode thread.
  */
 
 #ifndef DARKSIDE_ACCEL_VITERBI_VITERBI_ACCEL_HH

@@ -1,8 +1,11 @@
 #include "system/asr_system.hh"
 
+#include <atomic>
 #include <cstring>
 #include <optional>
+#include <thread>
 
+#include "decoder/piped_observer.hh"
 #include "decoder/search_telemetry.hh"
 #include "decoder/watchdog.hh"
 #include "nbest/adaptive_selectors.hh"
@@ -32,6 +35,27 @@ pruneSuffix(PruneLevel level)
     }
     return "?";
 }
+
+/** Holds one place in a count of concurrent work while it lives. */
+class CountedScope
+{
+  public:
+    explicit CountedScope(std::atomic<std::size_t> &count)
+        : count_(count), position_(count.fetch_add(1) + 1)
+    {}
+
+    CountedScope(const CountedScope &) = delete;
+    CountedScope &operator=(const CountedScope &) = delete;
+
+    ~CountedScope() { count_.fetch_sub(1); }
+
+    /** The count, this scope included, when it began. */
+    std::size_t position() const { return position_; }
+
+  private:
+    std::atomic<std::size_t> &count_;
+    std::size_t position_;
+};
 
 /** Payload-kind tag of persistent acoustic-score artifacts. */
 constexpr const char *kScoresKind = "acoustic-scores";
@@ -265,6 +289,19 @@ AsrSystem::dnnSim(PruneLevel level)
     return *slot;
 }
 
+ThreadPool &
+AsrSystem::simHelpers()
+{
+    // Half the cores: runUtterance pipes no more decodes than there
+    // are helpers, so piped decodes and their helpers never outnumber
+    // the cores. Below four cores the pool has no workers.
+    std::call_once(simHelpersOnce_, [this] {
+        simHelpers_ = std::make_unique<ThreadPool>(
+            std::thread::hardware_concurrency() / 2);
+    });
+    return *simHelpers_;
+}
+
 void
 AsrSystem::attachStore(std::shared_ptr<const ArtifactStore> store)
 {
@@ -425,15 +462,26 @@ AsrSystem::runUtterance(const Utterance &utt, const SystemConfig &config)
     auto selector = makeSelector(config);
     const ViterbiDecoder decoder(fst_, DecoderConfig{config.beam});
 
-    // The accelerator simulator and the telemetry observer both ride
-    // the same decode through a tee; the watchdog (when armed) hangs
-    // off a second tee and aborts an overrunning decode.
+    // The accelerator simulator replays the decode's hooks through a
+    // pipe, declared after it so that a decode that throws drains the
+    // pipe before the simulator is destroyed. A pipe keeps at most one
+    // helper busy, so a decode gets the helpers only while no more
+    // decodes run than there are helpers; beyond that every core is
+    // decoding and the decode replays its own batches. The telemetry
+    // observer and the watchdog (when armed) stay inline, and the
+    // watchdog hangs off a second tee to abort an overrunning decode.
+    const CountedScope decoding(decodes_);
+    ThreadPool &helpers = simHelpers();
+    PipedSearchObserver sim_pipe(
+        accel,
+        decoding.position() <= helpers.threadCount() ? &helpers : nullptr);
     SearchTelemetry search_telemetry;
-    TeeSearchObserver sim_tee(&accel, &search_telemetry);
+    TeeSearchObserver sim_tee(&sim_pipe, &search_telemetry);
     DecodeWatchdog watchdog(watchdog_budget, utt.id);
     TeeSearchObserver observer(
         &sim_tee, watchdog.enabled() ? &watchdog : nullptr);
     run.decode = decoder.decode(scores, *selector, &observer);
+    sim_pipe.finish();
     accel.recordTelemetry();
 
     const ViterbiSimResult vr = accel.result();

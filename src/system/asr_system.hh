@@ -11,6 +11,7 @@
 #ifndef DARKSIDE_SYSTEM_ASR_SYSTEM_HH
 #define DARKSIDE_SYSTEM_ASR_SYSTEM_HH
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -187,7 +188,25 @@ class AsrSystem
     AsrSystem(const Corpus &corpus, const Wfst &fst, const ModelZoo &zoo,
               const PlatformConfig &platform);
 
-    /** Run one utterance under a configuration. Thread-safe. */
+    /**
+     * Run one utterance under a configuration. Thread-safe.
+     *
+     * The Viterbi-accelerator simulator runs beside the search: the
+     * decode thread records the expanded-state stream and the frame
+     * activity in batches of PipedSearchObserver::kBatchFrames frames,
+     * at most PipedSearchObserver::kBatches of them in flight, and a
+     * helper thread replays them into the simulator. The simulator
+     * sees the same calls in the same order as an observer attached
+     * to the decode directly, so its cycles, cache statistics and
+     * joules are bit-identical. The helpers (half the host's cores,
+     * none below four) start on the first call and are joined when
+     * the system is destroyed. A decode uses them only while no more
+     * decodes run than there are helpers; otherwise, or without
+     * helpers, the decode thread replays each batch itself. The
+     * search telemetry and the decode watchdog stay on the decode
+     * thread, and a decode the watchdog aborts waits for its
+     * published batches before it unwinds.
+     */
     UtteranceRun runUtterance(const Utterance &utt,
                               const SystemConfig &config);
 
@@ -281,6 +300,8 @@ class AsrSystem
     /** Best-effort write-through to the persistent store. */
     void persistScores(const ScoreKey &key,
                        const AcousticScores &scores);
+    /** Pool that replays the Viterbi simulator (see runUtterance). */
+    ThreadPool &simHelpers();
 
     const Corpus &corpus_;
     const Wfst &fst_;
@@ -296,6 +317,11 @@ class AsrSystem
 
     /** Hash-sharded acoustic-score LRU (dnn/score_cache.hh). */
     ShardedScoreCache<AcousticScores> scoreCache_;
+
+    /** runUtterance decodes in flight (the helpers' admission). */
+    std::atomic<std::size_t> decodes_{0};
+    std::once_flag simHelpersOnce_;
+    std::unique_ptr<ThreadPool> simHelpers_;
 };
 
 } // namespace darkside

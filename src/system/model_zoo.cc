@@ -205,10 +205,14 @@ ModelZoo::tryLoad(PruneLevel level)
         retryWithBackoff(RetryPolicy{}, [&]() -> Result<Mlp> {
             if (auto kind = FaultInjector::global().trigger(
                     "zoo.model_load", key)) {
-                return Status::error("'" + store_->pathOf(name) +
-                                     "': injected " +
-                                     faultKindName(*kind) +
-                                     " (fault zoo.model_load)");
+                // Separate appends: gcc 12 flags "'" + std::string&&
+                // with a false -Werror=restrict.
+                std::string message = "'";
+                message += store_->pathOf(name);
+                message += "': injected ";
+                message += faultKindName(*kind);
+                message += " (fault zoo.model_load)";
+                return Status::error(message);
             }
             auto payload = store_->read(name, kModelKind);
             if (!payload.isOk())

@@ -84,7 +84,9 @@ ArgParser::parse(int argc, const char *const *argv)
                              arg.c_str());
                 return false;
             }
-            it->second.value = "1";
+            // assign(), not = "1": gcc 12 flags the latter with a
+            // false -Werror=restrict at -O3.
+            it->second.value.assign(1, '1');
             continue;
         }
         if (!has_value) {

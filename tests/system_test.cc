@@ -7,11 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
+#include "decoder/piped_observer.hh"
+#include "decoder/search_telemetry.hh"
 #include "dnn/score_cache.hh"
+#include "fault/fault.hh"
 #include "mini_setup.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
@@ -383,6 +391,341 @@ TEST(AsrSystem, UncacheableUtterancesStillDecode)
     const TestSetResult a = ctx.system.runTestSet(utts, config, 2);
     const TestSetResult b = ctx.system.runTestSet(utts, config, 2);
     expectIdenticalResults(a, b);
+}
+
+// --- The Viterbi simulator behind a PipedSearchObserver -------------
+
+/** Both hash organisations at both ends of the pruning range. */
+std::vector<SystemConfig>
+pipedConfigs(const ExperimentSetup &setup)
+{
+    std::vector<SystemConfig> configs;
+    for (SearchMode mode : {SearchMode::Baseline, SearchMode::NBestHash})
+        for (PruneLevel level : {PruneLevel::None, PruneLevel::P90})
+            configs.push_back(setup.configFor(mode, level));
+    return configs;
+}
+
+/** Decode `utt` into a fresh simulator, attached to the decode
+ *  directly (the reference) or behind a pipe on `helpers`. */
+ViterbiSimResult
+simulate(AsrSystem &sys, const Utterance &utt, const SystemConfig &config,
+         bool piped, ThreadPool *helpers = nullptr)
+{
+    const auto scores = sys.scoresFor(utt, config.prune);
+    ViterbiAcceleratorSim accel(sys.viterbiConfigFor(config), sys.fst());
+    auto selector = sys.makeSelector(config);
+    const ViterbiDecoder decoder(sys.fst(), DecoderConfig{config.beam});
+    if (!piped) {
+        decoder.decode(*scores, *selector, &accel);
+    } else {
+        PipedSearchObserver pipe(accel, helpers);
+        decoder.decode(*scores, *selector, &pipe);
+        pipe.finish();
+    }
+    return accel.result();
+}
+
+void
+expectSameSim(const ViterbiSimResult &want, const ViterbiSimResult &got)
+{
+    EXPECT_EQ(want.cycles, got.cycles);
+    EXPECT_EQ(want.seconds, got.seconds);
+    EXPECT_EQ(want.frames, got.frames);
+    EXPECT_EQ(want.missLines, got.missLines);
+    EXPECT_EQ(want.overflowLines, got.overflowLines);
+    const std::pair<CacheStats, CacheStats> caches[] = {
+        {want.stateCache, got.stateCache},
+        {want.arcCache, got.arcCache},
+        {want.latticeCache, got.latticeCache}};
+    for (const auto &[w, g] : caches) {
+        EXPECT_EQ(w.hits, g.hits);
+        EXPECT_EQ(w.misses, g.misses);
+    }
+    EXPECT_EQ(want.energy.dynamicJoules(), got.energy.dynamicJoules());
+    EXPECT_EQ(want.energy.staticJoules(), got.energy.staticJoules());
+}
+
+/** What runTestSet must report for the Viterbi stage and publish to
+ *  accel.viterbi.*, summed over reference simulations in input order. */
+struct InlineTotals
+{
+    StageCost viterbi;
+    std::uint64_t cycles = 0;
+    std::uint64_t frames = 0;
+    std::uint64_t missLines = 0;
+    std::uint64_t overflowLines = 0;
+    std::uint64_t stateMisses = 0;
+    std::uint64_t arcMisses = 0;
+
+    void
+    add(const ViterbiSimResult &r, std::size_t score_frames,
+        std::size_t classes)
+    {
+        // runUtterance charges the Viterbi stage for reading the shared
+        // score buffer back from DRAM.
+        const double score_bytes = static_cast<double>(score_frames) *
+            static_cast<double>(classes) * 4.0;
+        viterbi.add({r.seconds + score_bytes / EnergyModel::dramBandwidth(),
+                     r.energy.totalJoules() +
+                         score_bytes / 64.0 *
+                             EnergyModel::dramLineEnergy()});
+        cycles += r.cycles;
+        frames += r.frames;
+        missLines += r.missLines;
+        overflowLines += r.overflowLines;
+        stateMisses += r.stateCache.misses;
+        arcMisses += r.arcCache.misses;
+    }
+
+    void
+    expectPublished(const TestSetResult &r,
+                    const telemetry::Snapshot &before,
+                    const telemetry::Snapshot &after) const
+    {
+        EXPECT_EQ(viterbi.seconds, r.viterbi.seconds);
+        EXPECT_EQ(viterbi.joules, r.viterbi.joules);
+        const auto delta = [&](const char *name) {
+            const auto *a = after.findCounter(name);
+            const auto *b = before.findCounter(name);
+            return (a ? a->value : 0) - (b ? b->value : 0);
+        };
+        EXPECT_EQ(cycles, delta("accel.viterbi.cycles"));
+        EXPECT_EQ(frames, delta("accel.viterbi.frames"));
+        EXPECT_EQ(missLines, delta("accel.viterbi.miss_lines"));
+        EXPECT_EQ(overflowLines, delta("accel.viterbi.overflow_lines"));
+        EXPECT_EQ(stateMisses, delta("accel.viterbi.state_cache_misses"));
+        EXPECT_EQ(arcMisses, delta("accel.viterbi.arc_cache_misses"));
+    }
+};
+
+/** Two copies of the test set under fresh ids, so that at 4 threads
+ *  each worker decodes twice: some decodes get the system's helpers,
+ *  the others replay their own batches. */
+std::vector<Utterance>
+twoPasses(const std::vector<Utterance> &test_set, std::uint64_t base)
+{
+    std::vector<Utterance> utts;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const Utterance &u : test_set) {
+            utts.push_back(u);
+            utts.back().id = base + utts.size();
+        }
+    }
+    return utts;
+}
+
+TEST(PipedSimulation, MatchesInlineSimulatorBitForBit)
+{
+    auto &ctx = context();
+    AsrSystem &sys = ctx.system;
+    auto &reg = telemetry::MetricRegistry::global();
+    ThreadPool helpers(2);
+    const std::vector<Utterance> utts = twoPasses(ctx.testSet, 7ull << 40);
+
+    for (const SystemConfig &config : pipedConfigs(ctx.setup)) {
+        SCOPED_TRACE(config.label());
+        InlineTotals want;
+        for (const Utterance &utt : utts) {
+            const ViterbiSimResult ref = simulate(sys, utt, config, false);
+            expectSameSim(ref, simulate(sys, utt, config, true, &helpers));
+            expectSameSim(ref, simulate(sys, utt, config, true));
+            want.add(ref, sys.scoresFor(utt, config.prune)->frameCount(),
+                     ctx.corpus.classCount());
+        }
+        for (const std::size_t threads : {1u, 4u}) {
+            SCOPED_TRACE(threads);
+            const telemetry::Snapshot before = reg.snapshot();
+            const TestSetResult r = sys.runTestSet(utts, config, threads);
+            EXPECT_EQ(r.degraded, 0u);
+            want.expectPublished(r, before, reg.snapshot());
+        }
+    }
+}
+
+/** Sink slow enough at each frame end that batches queue behind it. */
+class SlowSink : public SearchObserver
+{
+  public:
+    void
+    onFrameEnd(const FrameActivity &) override
+    {
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+        framesDone.fetch_add(1);
+    }
+    void onUtteranceEnd(const TraceStats &) override { ended = true; }
+
+    std::atomic<std::size_t> framesDone{0};
+    std::atomic<bool> ended{false};
+};
+
+/** Rides the decode thread after the pipe: how far the decode runs
+ *  ahead of the sink, and an abort at frame `throwAt`. */
+class LeadProbe : public SearchObserver
+{
+  public:
+    LeadProbe(const SlowSink &sink, std::size_t throw_at)
+        : sink_(sink), throwAt_(throw_at)
+    {}
+
+    void
+    onFrameStart(std::size_t t) override
+    {
+        maxLead = std::max(maxLead, t - sink_.framesDone.load());
+        if (t == throwAt_)
+            throw FaultError("decoder.decode", FaultKind::Timeout, t);
+    }
+
+    std::size_t maxLead = 0;
+
+  private:
+    const SlowSink &sink_;
+    std::size_t throwAt_;
+};
+
+/** The longest test utterance (it spans many batches). */
+const Utterance &
+longestUtterance(ExperimentContext &ctx, PruneLevel level)
+{
+    return *std::max_element(
+        ctx.testSet.begin(), ctx.testSet.end(),
+        [&](const Utterance &a, const Utterance &b) {
+            return ctx.system.scoresFor(a, level)->frameCount() <
+                ctx.system.scoresFor(b, level)->frameCount();
+        });
+}
+
+TEST(PipedSimulation, BoundsTheBatchesInFlight)
+{
+    auto &ctx = context();
+    const auto config =
+        ctx.setup.configFor(SearchMode::Baseline, PruneLevel::P90);
+    const Utterance &utt = longestUtterance(ctx, config.prune);
+    const auto scores = ctx.system.scoresFor(utt, config.prune);
+    const ViterbiDecoder decoder(ctx.fst, DecoderConfig{config.beam});
+    constexpr std::size_t kBatchFrames = PipedSearchObserver::kBatchFrames;
+    constexpr std::size_t kInFlight =
+        PipedSearchObserver::kBatches * kBatchFrames;
+    ASSERT_GT(scores->frameCount(), 2 * kInFlight);
+
+    const auto lead = [&](ThreadPool *helpers) {
+        SlowSink sink;
+        PipedSearchObserver pipe(sink, helpers);
+        LeadProbe probe(sink, ~std::size_t{0});
+        TeeSearchObserver tee(&pipe, &probe);
+        auto selector = ctx.system.makeSelector(config);
+        const DecodeResult result =
+            decoder.decode(*scores, *selector, &tee);
+        pipe.finish();
+        EXPECT_EQ(sink.framesDone.load(), result.frames.size());
+        EXPECT_TRUE(sink.ended.load());
+        return probe.maxLead;
+    };
+
+    // With a helper the decode runs ahead of the slow sink by more
+    // than one batch, but never by the frames of all its batches.
+    ThreadPool helpers(2);
+    const std::size_t ahead = lead(&helpers);
+    EXPECT_GE(ahead, kBatchFrames);
+    EXPECT_LT(ahead, kInFlight);
+    // Without one each batch is replayed as it is published.
+    EXPECT_LT(lead(nullptr), kBatchFrames);
+}
+
+TEST(PipedSimulation, AbortedDecodeLeavesTheNextOneExact)
+{
+    auto &ctx = context();
+    AsrSystem &sys = ctx.system;
+
+    // Aborted with three batches published behind a slow sink: the
+    // pipe's destructor waits for all three and drops the fourth, so
+    // the sink can go right after it.
+    const auto config =
+        ctx.setup.configFor(SearchMode::NBestHash, PruneLevel::P90);
+    const Utterance &longest = longestUtterance(ctx, config.prune);
+    constexpr std::size_t kPublished =
+        PipedSearchObserver::kBatches * PipedSearchObserver::kBatchFrames;
+    ThreadPool helpers(2);
+    {
+        auto sink = std::make_unique<SlowSink>();
+        {
+            PipedSearchObserver pipe(*sink, &helpers);
+            LeadProbe probe(*sink, kPublished + 1);
+            TeeSearchObserver tee(&pipe, &probe);
+            auto selector = sys.makeSelector(config);
+            const ViterbiDecoder decoder(ctx.fst,
+                                         DecoderConfig{config.beam});
+            EXPECT_THROW(decoder.decode(*sys.scoresFor(longest,
+                                                       config.prune),
+                                        *selector, &tee),
+                         FaultError);
+        }
+        EXPECT_EQ(sink->framesDone.load(), kPublished);
+        EXPECT_FALSE(sink->ended.load());
+    }
+    expectSameSim(simulate(sys, longest, config, false),
+                  simulate(sys, longest, config, true, &helpers));
+
+    // Through runTestSet on one thread: an injected decoder.decode
+    // timeout aborts the first utterance, and every utterance after it
+    // on the same thread matches the reference.
+    auto &reg = telemetry::MetricRegistry::global();
+    for (const SystemConfig &cfg : pipedConfigs(ctx.setup)) {
+        SCOPED_TRACE(cfg.label());
+        const std::vector<Utterance> utts =
+            twoPasses(ctx.testSet, 9ull << 40);
+        InlineTotals want;
+        for (std::size_t i = 1; i < utts.size(); ++i) {
+            want.add(simulate(sys, utts[i], cfg, false),
+                     sys.scoresFor(utts[i], cfg.prune)->frameCount(),
+                     ctx.corpus.classCount());
+        }
+        FaultRule rule;
+        rule.probe = "decoder.decode";
+        rule.kind = FaultKind::Timeout;
+        rule.keys = {utts[0].id};
+        FaultPlan plan;
+        plan.rules.push_back(rule);
+        ScopedFaultPlan scoped(std::move(plan));
+        const telemetry::Snapshot before = reg.snapshot();
+        const TestSetResult r = sys.runTestSet(utts, cfg, 1);
+        EXPECT_EQ(r.degraded, 1u);
+        EXPECT_NE(r.outcomes[0].find("timeout"), std::string::npos);
+        want.expectPublished(r, before, reg.snapshot());
+    }
+}
+
+TEST(PipedSimulation, SinkExceptionReachesFinish)
+{
+    // The replay may run on a pool worker, where an escaping exception
+    // would end the program; the pipe forwards it to finish() instead,
+    // drops the hooks after it, and the decode itself completes.
+    struct ThrowingSink : SearchObserver
+    {
+        void
+        onFrameEnd(const FrameActivity &) override
+        {
+            if (++frames == 10)
+                throw std::runtime_error("sink failed");
+        }
+        std::size_t frames = 0;
+    };
+    auto &ctx = context();
+    const auto config =
+        ctx.setup.configFor(SearchMode::Baseline, PruneLevel::P90);
+    const Utterance &utt = longestUtterance(ctx, config.prune);
+    const ViterbiDecoder decoder(ctx.fst, DecoderConfig{config.beam});
+    ThreadPool helpers(2);
+    for (ThreadPool *pool : {&helpers, static_cast<ThreadPool *>(nullptr)}) {
+        ThrowingSink sink;
+        PipedSearchObserver pipe(sink, pool);
+        auto selector = ctx.system.makeSelector(config);
+        const DecodeResult result = decoder.decode(
+            *ctx.system.scoresFor(utt, config.prune), *selector, &pipe);
+        EXPECT_GT(result.frames.size(), 10u);
+        EXPECT_THROW(pipe.finish(), std::runtime_error);
+        EXPECT_EQ(sink.frames, 10u);
+    }
 }
 
 TEST(PaperConfigs, TableIIAndIIIVerbatim)

@@ -527,10 +527,11 @@ TEST(Kernels, ActiveBackendHonoursEnvOverride)
     // the environment rather than assuming a particular machine.
     const kernels::KernelBackend active = kernels::activeKernelBackend();
     if (const char *env = std::getenv("DARKSIDE_KERNEL")) {
-        if (std::strcmp(env, "scalar") == 0)
+        if (std::strcmp(env, "scalar") == 0) {
             EXPECT_EQ(active, kernels::KernelBackend::Scalar);
-        else if (std::strcmp(env, "avx2") == 0)
+        } else if (std::strcmp(env, "avx2") == 0) {
             EXPECT_EQ(active, kernels::KernelBackend::Avx2);
+        }
     } else if (kernels::avx2Available()) {
         EXPECT_EQ(active, kernels::KernelBackend::Avx2);
     } else {

@@ -411,10 +411,16 @@ cmdDecode(int argc, const char *const *argv)
             wer.merge(alignSequences(utt.words, result.words));
             survivors += result.totalSurvivors();
             frames += result.frames.size();
-            transcripts += "utt " + std::to_string(i) + " ok";
-            for (WordId w : result.words)
-                transcripts += " " + std::to_string(w);
-            transcripts += "\n";
+            // Separate appends: gcc 12 flags the concatenated
+            // temporaries with a false -Werror=restrict.
+            transcripts += "utt ";
+            transcripts += std::to_string(i);
+            transcripts += " ok";
+            for (WordId w : result.words) {
+                transcripts += ' ';
+                transcripts += std::to_string(w);
+            }
+            transcripts += '\n';
             if (args.getSwitch("lattice")) {
                 std::printf("ref:");
                 for (WordId w : utt.words)
