@@ -48,11 +48,10 @@ AcousticScores::fromMlp(const Mlp &mlp, const std::vector<Vector> &inputs,
 
 AcousticScores
 AcousticScores::fromEngine(const InferenceEngine &engine,
-                           const std::vector<Vector> &inputs, float scale,
-                           ThreadPool *pool)
+                           const std::vector<Vector> &inputs, float scale)
 {
     std::vector<Vector> posteriors;
-    engine.forwardAll(inputs, posteriors, pool);
+    engine.forwardAll(inputs, posteriors);
     return fromPosteriors(posteriors, scale);
 }
 

@@ -15,7 +15,6 @@
 #include "dnn/inference.hh"
 #include "dnn/mlp.hh"
 #include "util/status.hh"
-#include "util/thread_pool.hh"
 
 namespace darkside {
 
@@ -46,15 +45,10 @@ class AcousticScores
                                   const std::vector<Vector> &inputs,
                                   float scale);
 
-    /**
-     * Score every spliced frame with a pre-compiled engine. With a pool,
-     * frame windows are scored in parallel; posteriors are merged in
-     * frame order, so results are identical for any thread count.
-     */
+    /** Score every spliced frame with a pre-compiled engine. */
     static AcousticScores fromEngine(const InferenceEngine &engine,
                                      const std::vector<Vector> &inputs,
-                                     float scale,
-                                     ThreadPool *pool = nullptr);
+                                     float scale);
 
     /**
      * A score matrix filled with NaN costs, modelling a corrupted

@@ -243,22 +243,24 @@ ViterbiDecoder::decode(const AcousticScores &scores,
 
 ViterbiStream
 ViterbiDecoder::startUtterance(HypothesisSelector &selector,
-                               SearchObserver *observer) const
+                               SearchObserver *observer,
+                               std::size_t frames) const
 {
-    return ViterbiStream(*this, selector, observer);
+    return ViterbiStream(*this, selector, observer, frames);
 }
 
 ViterbiStream::ViterbiStream(const ViterbiDecoder &decoder,
                              HypothesisSelector &selector,
-                             SearchObserver *observer)
+                             SearchObserver *observer, std::size_t frames)
     : fst_(&decoder.fst_), config_(decoder.config_),
       selector_(&selector), observer_(observer),
       arena_(decoder.config_.traceGcMinNodes)
 {
     active_.push_back({fst_->start(), 0.0f, 0});
+    result_.frames.reserve(frames);
     selector_->startUtterance();
     if (observer_)
-        observer_->onUtteranceStart(0);
+        observer_->onUtteranceStart(frames);
 }
 
 void

@@ -163,11 +163,13 @@ class ViterbiDecoder
      * selector, for any chunking.
      *
      * The selector, observer, decoder and WFST must outlive the stream.
-     * A streaming observer receives onUtteranceStart(0) — the frame
-     * count is unknown up front.
+     * The observer receives onUtteranceStart(frames): pass the
+     * utterance's frame count when it is known up front, as decode()
+     * does, and 0 otherwise.
      */
     ViterbiStream startUtterance(HypothesisSelector &selector,
-                                 SearchObserver *observer = nullptr) const;
+                                 SearchObserver *observer = nullptr,
+                                 std::size_t frames = 0) const;
 
   private:
     friend class ViterbiStream;
@@ -249,7 +251,8 @@ class ViterbiStream
     friend class ViterbiDecoder;
 
     ViterbiStream(const ViterbiDecoder &decoder,
-                  HypothesisSelector &selector, SearchObserver *observer);
+                  HypothesisSelector &selector, SearchObserver *observer,
+                  std::size_t frames);
 
     /** The chunk loop, templated on the concrete selector type so
      *  advanceFrames' dispatch (the same list as decode()'s) reaches

@@ -40,6 +40,25 @@ class DecodeWatchdog : public SearchObserver
         }
     }
 
+    /**
+     * The watchdog of a decode of utterance `key`, armed from the
+     * decoder.decode fault probe: an injected Timeout arms it already
+     * expired, so the fault takes the real frame-boundary abort path;
+     * any other injected kind throws FaultError. Without a fault it
+     * gets the `seconds` budget.
+     */
+    static DecodeWatchdog
+    armed(double seconds, std::uint64_t key)
+    {
+        if (auto kind = FaultInjector::global().trigger("decoder.decode",
+                                                        key)) {
+            if (*kind != FaultKind::Timeout)
+                throw FaultError("decoder.decode", *kind, key);
+            return DecodeWatchdog(-1.0, key);
+        }
+        return DecodeWatchdog(seconds, key);
+    }
+
     /** False when the budget is 0; skip attaching the observer. */
     bool enabled() const { return enabled_; }
 

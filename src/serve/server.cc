@@ -399,8 +399,9 @@ StreamingServer::runSession(
 
     try {
         // DNN stage through the shared sharded score cache. Pipelined
-        // (the default), a per-session prefetch thread scores chunk
-        // k+1 while this worker decodes chunk k, so the first partial
+        // (the default), tasks on the system's helper pool score chunk
+        // windows ahead while this worker decodes, and the worker
+        // scores any chunk no helper is scoring, so the first partial
         // waits for one scored chunk, not the whole utterance; the
         // upfront baseline scores everything before the chunk loop.
         // Either way the chunk loop times the streaming decode alone,
@@ -417,7 +418,7 @@ StreamingServer::runSession(
         const std::size_t chunk =
             config_.chunkFrames ? config_.chunkFrames : frames;
         if (config_.pipelineScoring)
-            stream->startPrefetch(chunk);
+            stream->startPrefetch(chunk, &system_.helpers());
         else
             stream->ensureScored(frames);
 
@@ -430,8 +431,8 @@ StreamingServer::runSession(
         for (std::size_t begin = 0;
              begin < frames && !session.dead(); begin += chunk) {
             const std::size_t end = std::min(frames, begin + chunk);
-            // Blocks on the prefetch thread (pipelined) or scores the
-            // window inline; rows [0, end) are final afterwards.
+            // Waits for a window a helper is scoring, or scores it on
+            // this worker; rows [0, end) are final afterwards.
             stream->ensureScored(end);
             const auto t0 = std::chrono::steady_clock::now();
             const PartialHypothesis partial =

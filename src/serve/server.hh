@@ -52,9 +52,10 @@ struct ServeConfig
     std::size_t chunkFrames = 16;
 
     /**
-     * Score chunk k+1 on a per-session prefetch thread while chunk k
-     * decodes (docs/SERVING.md "Pipelined scoring"): the first partial
-     * waits for one scored chunk instead of the whole utterance.
+     * Score chunk windows on the system's helper pool while earlier
+     * chunks decode, the worker scoring any chunk no helper is scoring
+     * (docs/SERVING.md "Pipelined scoring"): the first partial waits
+     * for one scored chunk instead of the whole utterance.
      * False restores the score-everything-up-front baseline the
      * time-to-first-partial bench compares against. Transcripts are
      * bit-identical either way.

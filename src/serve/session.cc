@@ -6,31 +6,12 @@
 
 namespace darkside {
 
-namespace {
-
-/** Session deadline budget, after consulting the fault injector: an
- *  injected decoder.decode Timeout arms the watchdog already expired
- *  (the same real frame-boundary abort path runUtterance uses). */
-double
-armedBudget(double deadline_seconds, std::uint64_t id)
-{
-    if (auto kind = FaultInjector::global().trigger("decoder.decode",
-                                                    id)) {
-        if (*kind != FaultKind::Timeout)
-            throw FaultError("decoder.decode", *kind, id);
-        return -1.0;
-    }
-    return deadline_seconds;
-}
-
-} // namespace
-
 Session::Session(const Wfst &fst, float beam,
                  std::unique_ptr<HypothesisSelector> selector,
                  std::uint64_t id, double deadlineSeconds)
     : id_(id), selector_(std::move(selector)),
       decoder_(fst, DecoderConfig{beam}),
-      watchdog_(armedBudget(deadlineSeconds, id), id)
+      watchdog_(DecodeWatchdog::armed(deadlineSeconds, id))
 {
     stream_.emplace(decoder_.startUtterance(
         *selector_, watchdog_.enabled() ? &watchdog_ : nullptr));

@@ -43,11 +43,11 @@ struct SessionResult
  *
  * The session arms its DecodeWatchdog at construction, so the deadline
  * budget covers the whole session (every chunk), checked at each frame
- * boundary. An injected `decoder.decode` fault keyed on the utterance
- * id fires at construction exactly as in AsrSystem::runUtterance: a
- * Timeout arms the watchdog already expired; any other kind throws
- * FaultError from the constructor, which the server's per-session
- * isolation boundary converts into a degraded session.
+ * boundary. It is armed by DecodeWatchdog::armed, as in
+ * AsrSystem::runUtterance: an injected `decoder.decode` Timeout arms it
+ * already expired; any other kind throws FaultError from the
+ * constructor, which the server's per-session isolation boundary
+ * converts into a degraded session.
  *
  * Not thread-safe; one session is driven by one worker at a time.
  */

@@ -10,6 +10,7 @@
 #include "decoder/watchdog.hh"
 #include "nbest/adaptive_selectors.hh"
 #include "fault/fault.hh"
+#include "system/score_stream.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 #include "util/bits.hh"
@@ -290,16 +291,16 @@ AsrSystem::dnnSim(PruneLevel level)
 }
 
 ThreadPool &
-AsrSystem::simHelpers()
+AsrSystem::helpers()
 {
-    // Half the cores: runUtterance pipes no more decodes than there
-    // are helpers, so piped decodes and their helpers never outnumber
-    // the cores. Below four cores the pool has no workers.
-    std::call_once(simHelpersOnce_, [this] {
-        simHelpers_ = std::make_unique<ThreadPool>(
+    // Half the cores: runUtterance gives helpers to no more decodes
+    // than there are helpers, so those decodes and their helpers never
+    // outnumber the cores. Below four cores the pool has no workers.
+    std::call_once(helpersOnce_, [this] {
+        helpers_ = std::make_unique<ThreadPool>(
             std::thread::hardware_concurrency() / 2);
     });
-    return *simHelpers_;
+    return *helpers_;
 }
 
 void
@@ -366,70 +367,29 @@ AsrSystem::persistScores(const ScoreKey &key,
 }
 
 std::shared_ptr<const AcousticScores>
-AsrSystem::scoresFor(const Utterance &utt, PruneLevel level,
-                     ThreadPool *pool)
+AsrSystem::scoresFor(const Utterance &utt, PruneLevel level)
 {
-    const ScoreKey key(static_cast<int>(level), utt.id);
-    const bool cacheable = utt.id != 0;
-
-    bool discarded_corrupt_hit = false;
-    if (cacheable) {
-        auto found = scoreCache_.lookup(key);
-        if (found.scores)
-            return found.scores;
-        discarded_corrupt_hit = found.corruptDiscarded;
-        if (auto restored = readPersistedScores(key))
-            return scoreCache_.insert(key, std::move(restored));
-    }
-
-    // Compute outside any lock: scoring dominates, and concurrent
-    // requests for *different* utterances must not serialise. Two
-    // threads racing on the same utterance compute identical scores;
-    // the insert below simply keeps the first one's entry.
-    auto spliced = corpus_.spliceUtterance(utt);
-    if (auto kind = FaultInjector::global().trigger("inference.scores",
-                                                    utt.id)) {
-        if (*kind != FaultKind::NanScores)
-            throw FaultError("inference.scores", *kind, utt.id);
-        // Poisoned scores are returned but never cached, so a later
-        // fault-free run of the same utterance recomputes cleanly.
-        return std::make_shared<const AcousticScores>(
-            AcousticScores::poisoned(spliced.size(),
-                                     corpus_.classCount()));
-    }
-    const InferenceEngine &engine = engineFor(level);
-    auto scores = std::make_shared<const AcousticScores>(
-        AcousticScores::fromEngine(engine, spliced,
-                                   platform_.acousticScale, pool));
-    if (discarded_corrupt_hit)
-        FaultInjector::global().noteRecovered();
-    if (!cacheable)
-        return scores;
-
-    persistScores(key, *scores);
-    return scoreCache_.insert(key, std::move(scores));
+    return openScoreStream(utt, level)->finish();
 }
 
 UtteranceRun
 AsrSystem::runUtterance(const Utterance &utt, const SystemConfig &config)
 {
     // --- DNN stage ----------------------------------------------------
-    // Shared ownership: LRU eviction by a concurrent utterance cannot
-    // invalidate the scores while this decode reads them.
-    const std::shared_ptr<const AcousticScores> scores_ptr =
-        scoresFor(utt, config.prune);
-    const AcousticScores &scores = *scores_ptr;
-    if (!scores.finite()) {
-        // NaN/Inf acoustic scores (the inference.scores nan_scores
-        // fault, or a genuinely corrupt scoring stage) would silently
-        // produce garbage transcripts; abandon the utterance instead.
+    // NaN/Inf acoustic scores (the inference.scores nan_scores fault,
+    // or a corrupt cache entry or scoring stage) would silently produce
+    // garbage transcripts; abandon the utterance instead. The stream
+    // checks each window it scores; a resident matrix is checked here.
+    const std::unique_ptr<ScoreStream> stream =
+        openScoreStream(utt, config.prune);
+    if (stream->poisoned() ||
+        (stream->complete() && !stream->scores().finite())) {
         throw FaultError("inference.scores", FaultKind::NanScores,
                          utt.id);
     }
 
     UtteranceRun run;
-    run.frames = scores.frameCount();
-    run.meanConfidence = scores.meanConfidence();
+    run.frames = stream->frameCount();
 
     const DnnSimResult &dnn = dnnSim(config.prune);
     run.dnn.seconds = dnn.utteranceSeconds(run.frames);
@@ -447,46 +407,63 @@ AsrSystem::runUtterance(const Utterance &utt, const SystemConfig &config)
     run.dnn.joules += buffer_joules;
 
     // --- Viterbi stage --------------------------------------------------
-    double watchdog_budget = platform_.decodeWatchdogSeconds;
-    if (auto kind = FaultInjector::global().trigger("decoder.decode",
-                                                    utt.id)) {
-        if (*kind != FaultKind::Timeout)
-            throw FaultError("decoder.decode", *kind, utt.id);
-        // Injected timeout: arm the watchdog already expired so the
-        // fault exercises the real frame-boundary abort path.
-        watchdog_budget = -1.0;
+    // The helpers score this decode's windows and replay its
+    // simulator. A decode gets them only while no more decodes run
+    // than there are helpers, so those decodes and the helpers never
+    // outnumber the cores; beyond that every core is decoding, and the
+    // decode scores its own windows and replays its own batches.
+    // Windows fall at multiples of the GEMM batch whoever scores them,
+    // so the dnn.infer.* counts match scoresFor's.
+    const CountedScope decoding(decodes_);
+    ThreadPool &pool = helpers();
+    ThreadPool *const helped =
+        decoding.position() <= pool.threadCount() ? &pool : nullptr;
+    std::size_t window = run.frames;
+    if (!stream->complete()) {
+        window = engineFor(config.prune).batchFrames();
+        stream->startPrefetch(window, helped);
     }
 
-    const ViterbiAccelConfig vc = viterbiConfigFor(config);
-    ViterbiAcceleratorSim accel(vc, fst_);
-    auto selector = makeSelector(config);
-    const ViterbiDecoder decoder(fst_, DecoderConfig{config.beam});
+    try {
+        DecodeWatchdog watchdog = DecodeWatchdog::armed(
+            platform_.decodeWatchdogSeconds, utt.id);
+        ViterbiAcceleratorSim accel(viterbiConfigFor(config), fst_);
+        auto selector = makeSelector(config);
+        const ViterbiDecoder decoder(fst_, DecoderConfig{config.beam});
 
-    // The accelerator simulator replays the decode's hooks through a
-    // pipe, declared after it so that a decode that throws drains the
-    // pipe before the simulator is destroyed. A pipe keeps at most one
-    // helper busy, so a decode gets the helpers only while no more
-    // decodes run than there are helpers; beyond that every core is
-    // decoding and the decode replays its own batches. The telemetry
-    // observer and the watchdog (when armed) stay inline, and the
-    // watchdog hangs off a second tee to abort an overrunning decode.
-    const CountedScope decoding(decodes_);
-    ThreadPool &helpers = simHelpers();
-    PipedSearchObserver sim_pipe(
-        accel,
-        decoding.position() <= helpers.threadCount() ? &helpers : nullptr);
-    SearchTelemetry search_telemetry;
-    TeeSearchObserver sim_tee(&sim_pipe, &search_telemetry);
-    DecodeWatchdog watchdog(watchdog_budget, utt.id);
-    TeeSearchObserver observer(
-        &sim_tee, watchdog.enabled() ? &watchdog : nullptr);
-    run.decode = decoder.decode(scores, *selector, &observer);
-    sim_pipe.finish();
-    accel.recordTelemetry();
+        // The simulator replays the decode's hooks through a pipe,
+        // declared after it so that a decode that throws drains the
+        // pipe before the simulator is destroyed. The telemetry
+        // observer and the watchdog (when armed) stay inline, and the
+        // watchdog hangs off a second tee to abort an overrunning
+        // decode.
+        PipedSearchObserver sim_pipe(accel, helped);
+        SearchTelemetry search_telemetry;
+        TeeSearchObserver sim_tee(&sim_pipe, &search_telemetry);
+        TeeSearchObserver observer(
+            &sim_tee, watchdog.enabled() ? &watchdog : nullptr);
+        ViterbiStream search =
+            decoder.startUtterance(*selector, &observer, run.frames);
+        for (std::size_t begin = 0; begin < run.frames && !search.dead();
+             begin += window) {
+            const std::size_t end = std::min(run.frames, begin + window);
+            stream->ensureScored(end);
+            search.advanceFrames(stream->scores(), begin, end);
+        }
+        run.decode = search.finishUtterance();
+        sim_pipe.finish();
+        accel.recordTelemetry();
 
-    const ViterbiSimResult vr = accel.result();
-    run.viterbi.seconds = vr.seconds + buffer_seconds;
-    run.viterbi.joules = vr.energy.totalJoules() + buffer_joules;
+        const ViterbiSimResult vr = accel.result();
+        run.viterbi.seconds = vr.seconds + buffer_seconds;
+        run.viterbi.joules = vr.energy.totalJoules() + buffer_joules;
+    } catch (const FaultError &) {
+        // A fault abandons the decode, not the scores: finish and
+        // cache them, so a later run of the utterance hits the cache.
+        stream->finish();
+        throw;
+    }
+    run.meanConfidence = stream->finish()->meanConfidence();
     return run;
 }
 

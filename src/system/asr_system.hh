@@ -166,8 +166,10 @@ struct PlatformConfig
     /**
      * Wall-clock budget per decode task; an overrunning decode is
      * aborted at the next frame boundary and the utterance degraded.
-     * 0 disables the watchdog (the default: wall-clock deadlines are
-     * inherently nondeterministic, so opt-in only).
+     * Scoring runs beside the decode, so the budget also covers the
+     * decode's waits for score windows. 0 disables the watchdog (the
+     * default: wall-clock deadlines are inherently nondeterministic,
+     * so opt-in only).
      */
     double decodeWatchdogSeconds = 0.0;
     /**
@@ -191,21 +193,31 @@ class AsrSystem
     /**
      * Run one utterance under a configuration. Thread-safe.
      *
-     * The Viterbi-accelerator simulator runs beside the search: the
-     * decode thread records the expanded-state stream and the frame
-     * activity in batches of PipedSearchObserver::kBatchFrames frames,
-     * at most PipedSearchObserver::kBatches of them in flight, and a
-     * helper thread replays them into the simulator. The simulator
-     * sees the same calls in the same order as an observer attached
-     * to the decode directly, so its cycles, cache statistics and
-     * joules are bit-identical. The helpers (half the host's cores,
-     * none below four) start on the first call and are joined when
-     * the system is destroyed. A decode uses them only while no more
-     * decodes run than there are helpers; otherwise, or without
-     * helpers, the decode thread replays each batch itself. The
-     * search telemetry and the decode watchdog stay on the decode
-     * thread, and a decode the watchdog aborts waits for its
-     * published batches before it unwinds.
+     * Scoring runs beside the search, as the paper's DNN accelerator
+     * fills the shared score buffer while the Viterbi accelerator reads
+     * it: the utterance opens a ScoreStream, helpers prefetch it in
+     * windows of the engine's GEMM batch (InferenceEngine::
+     * batchFrames()), and the decode advances a ViterbiStream over
+     * each window as soon as its rows are published, scoring a window
+     * itself when no helper is scoring it. The stream is finished
+     * afterwards, so the matrix reaches the LRU and the store exactly
+     * as scoresFor leaves it, also when a fault abandons the decode.
+     *
+     * The Viterbi-accelerator simulator runs beside the search too:
+     * the decode thread records the expanded-state stream and the
+     * frame activity in batches of PipedSearchObserver::kBatchFrames
+     * frames, at most PipedSearchObserver::kBatches of them in flight,
+     * and a helper thread replays them into the simulator. The
+     * simulator sees the same calls in the same order as an observer
+     * attached to the decode directly, so its cycles, cache statistics
+     * and joules are bit-identical.
+     *
+     * Both use helpers() only while no more decodes run than there are
+     * helpers; otherwise, or without helpers, the decode thread scores
+     * each window and replays each batch itself. The search telemetry
+     * and the decode watchdog stay on the decode thread, and a decode
+     * the watchdog aborts waits for its published batches before it
+     * unwinds.
      */
     UtteranceRun runUtterance(const Utterance &utt,
                               const SystemConfig &config);
@@ -267,41 +279,46 @@ class AsrSystem
 
     /**
      * Score an utterance with a model, memoised per (level, utterance
-     * id) in a bounded LRU cache. Utterances without an id (id == 0)
-     * are scored fresh each time. Thread-safe; the returned scores are
-     * shared ownership so eviction cannot invalidate a reader. Public
-     * so benchmarks can score once and time the decode alone.
+     * id) in a bounded LRU cache: openScoreStream(utt, level)->
+     * finish(). Utterances without an id (id == 0) are scored fresh
+     * each time. Thread-safe; the returned scores are shared ownership
+     * so eviction cannot invalidate a reader. Public so benchmarks can
+     * score once and time the decode alone.
      */
     std::shared_ptr<const AcousticScores>
-    scoresFor(const Utterance &utt, PruneLevel level,
-              ThreadPool *pool = nullptr);
+    scoresFor(const Utterance &utt, PruneLevel level);
 
     /**
-     * Open an incremental scoring stream for an utterance: the
-     * streaming counterpart of scoresFor (src/system/score_stream.hh).
-     * Scores already resident in the LRU or the persistent store
-     * arrive complete; otherwise the stream scores frame windows on
-     * demand (ensureScored) or on a background prefetch thread
-     * (startPrefetch), and finish() commits the completed matrix to
-     * the same caches scoresFor fills. Throws FaultError when the
-     * inference.scores probe injects a non-NaN fault, exactly like
-     * scoresFor.
+     * Open an incremental scoring stream for an utterance
+     * (src/system/score_stream.hh). Scores already resident in the LRU
+     * or the persistent store arrive complete; otherwise the stream
+     * scores frame windows on demand (ensureScored) or ahead of the
+     * consumer on helper tasks (startPrefetch), and finish() commits
+     * the completed matrix to the LRU and the store. Throws FaultError
+     * when the inference.scores probe injects a non-NaN fault.
      */
     std::unique_ptr<ScoreStream> openScoreStream(const Utterance &utt,
                                                  PruneLevel level);
 
+    /**
+     * The helper pool: it replays the Viterbi simulator of batch
+     * decodes and prefetches score windows for batch decodes and serve
+     * sessions (see runUtterance and ScoreStream::startPrefetch). Half
+     * the host's cores as workers, none below four cores; started on
+     * the first call and joined when the system is destroyed.
+     */
+    ThreadPool &helpers();
+
   private:
     friend class ScoreStream;
 
-    /** LRU + persistent-store read path shared by scoresFor and
-     *  ScoreStream. Null when neither holds the key. */
+    /** Persistent-store read path of ScoreStream. Null when the
+     *  store does not hold the key. */
     std::shared_ptr<const AcousticScores> readPersistedScores(
         const ScoreKey &key);
     /** Best-effort write-through to the persistent store. */
     void persistScores(const ScoreKey &key,
                        const AcousticScores &scores);
-    /** Pool that replays the Viterbi simulator (see runUtterance). */
-    ThreadPool &simHelpers();
 
     const Corpus &corpus_;
     const Wfst &fst_;
@@ -320,8 +337,8 @@ class AsrSystem
 
     /** runUtterance decodes in flight (the helpers' admission). */
     std::atomic<std::size_t> decodes_{0};
-    std::once_flag simHelpersOnce_;
-    std::unique_ptr<ThreadPool> simHelpers_;
+    std::once_flag helpersOnce_;
+    std::unique_ptr<ThreadPool> helpers_;
 };
 
 } // namespace darkside

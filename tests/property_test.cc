@@ -1862,6 +1862,7 @@ TEST_P(ChunkedScoringProperty, ScoreStreamCommitsTheScoresForMatrix)
     auto &ctx = faultContext(777);
     FaultInjector::global().disarm();
     const PruneLevel level = PruneLevel::P90;
+    ThreadPool helpers(2);
 
     for (const bool prefetch : {false, true}) {
         for (std::size_t i = 0; i < ctx.testSet.size(); ++i) {
@@ -1880,7 +1881,7 @@ TEST_P(ChunkedScoringProperty, ScoreStreamCommitsTheScoresForMatrix)
                 ? chunk_param
                 : std::max<std::size_t>(frames, 1);
             if (prefetch)
-                stream->startPrefetch(chunk);
+                stream->startPrefetch(chunk, &helpers);
             for (std::size_t begin = 0; begin < frames;
                  begin += chunk) {
                 stream->ensureScored(std::min(frames, begin + chunk));
@@ -1897,12 +1898,12 @@ TEST_P(ChunkedScoringProperty, ScoreStreamCommitsTheScoresForMatrix)
             EXPECT_TRUE(warm->complete());
             EXPECT_EQ(warm->finish().get(), committed.get());
 
-            // Bit-identical to the batch scoring path over the same
-            // frames (fresh id: a cold scoresFor compute).
-            Utterance fresh = ctx.testSet[i];
-            fresh.id = mix64(utt.id ^ 0x77u) | 1;
-            const auto want = ctx.system.scoresFor(fresh, level);
-            expectSameScores(*committed, *want,
+            // Bit-identical to whole-utterance scoring.
+            const AcousticScores want = AcousticScores::fromEngine(
+                ctx.system.engineFor(level),
+                ctx.corpus.spliceUtterance(utt),
+                ctx.system.platform().acousticScale);
+            expectSameScores(*committed, want,
                              prefetch ? "prefetch" : "on-demand");
         }
     }

@@ -10,8 +10,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,6 +25,7 @@
 #include "dnn/score_cache.hh"
 #include "fault/fault.hh"
 #include "mini_setup.hh"
+#include "system/score_stream.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/snapshot.hh"
 
@@ -725,6 +730,273 @@ TEST(PipedSimulation, SinkExceptionReachesFinish)
         EXPECT_GT(result.frames.size(), 10u);
         EXPECT_THROW(pipe.finish(), std::runtime_error);
         EXPECT_EQ(sink.frames, 10u);
+    }
+}
+
+// --- Scoring beside the search (ScoreStream on the helper pool) --------
+
+/** Bitwise equality of two complete score matrices. */
+void
+expectSameMatrix(const AcousticScores &got, const AcousticScores &want)
+{
+    ASSERT_EQ(got.frameCount(), want.frameCount());
+    ASSERT_EQ(got.classCount(), want.classCount());
+    for (std::size_t t = 0; t < want.frameCount(); ++t) {
+        ASSERT_EQ(std::memcmp(got.row(t), want.row(t),
+                              want.classCount() * sizeof(float)),
+                  0)
+            << "frame " << t;
+    }
+    EXPECT_EQ(got.meanConfidence(), want.meanConfidence());
+}
+
+/** Deterministic dnn.infer.* growth since `before`: counter values
+ *  and histogram bucket counts. */
+std::string
+inferGrowth(const telemetry::Snapshot &before)
+{
+    const telemetry::Snapshot delta = telemetry::MetricRegistry::global()
+                                          .snapshot()
+                                          .deltaSince(before)
+                                          .deterministic();
+    std::string out;
+    for (const auto &c : delta.counters) {
+        if (c.name.rfind("dnn.infer.", 0) == 0)
+            out += c.name + "=" + std::to_string(c.value) + "\n";
+    }
+    for (const auto &h : delta.histograms) {
+        if (h.name.rfind("dnn.infer.", 0) != 0)
+            continue;
+        out += h.name + "=" + std::to_string(h.underflow) + "," +
+            std::to_string(h.overflow);
+        for (const std::uint64_t b : h.buckets)
+            out += "," + std::to_string(b);
+        out += "\n";
+    }
+    return out;
+}
+
+/** An utterance id not used before in this process: the scores of an
+ *  utterance under it are computed cold, also under --gtest_repeat. */
+std::uint64_t
+freshId()
+{
+    static std::atomic<std::uint64_t> next{11ull << 40};
+    return next++;
+}
+
+/** Growth of one counter since `before` (0 when unregistered). */
+std::uint64_t
+counterGrowth(const telemetry::Snapshot &before, const char *name)
+{
+    const telemetry::Snapshot after =
+        telemetry::MetricRegistry::global().snapshot();
+    const auto *a = after.findCounter(name);
+    const auto *b = before.findCounter(name);
+    return (a ? a->value : 0) - (b ? b->value : 0);
+}
+
+TEST(PipelinedScoring, PooledPrefetchMatchesScoresFor)
+{
+    // Windows fall at multiples of the GEMM batch whoever scores them,
+    // so however the consumer steps through the utterance, with or
+    // without helper workers, the matrix and the dnn.infer.* counts
+    // are scoresFor's.
+    auto &ctx = context();
+    AsrSystem &sys = ctx.system;
+    auto &reg = telemetry::MetricRegistry::global();
+    const PruneLevel level = PruneLevel::P90;
+    const std::size_t batch = sys.engineFor(level).batchFrames();
+    for (const Utterance &base : ctx.testSet) {
+        Utterance utt = base;
+        utt.id = freshId();
+        const telemetry::Snapshot before = reg.snapshot();
+        const auto want = sys.scoresFor(utt, level);
+        const std::string want_infer = inferGrowth(before);
+        ASSERT_NE(want_infer.find("dnn.infer.frames="), std::string::npos);
+        for (const std::size_t workers : {0u, 2u}) {
+            ThreadPool helpers(workers);
+            for (const std::size_t step : {1u, 7u, 32u, 0u}) {
+                SCOPED_TRACE(std::to_string(workers) + " workers, step " +
+                             std::to_string(step));
+                utt.id = freshId();
+                const telemetry::Snapshot start = reg.snapshot();
+                auto stream = sys.openScoreStream(utt, level);
+                ASSERT_FALSE(stream->complete());
+                stream->startPrefetch(batch, &helpers);
+                const std::size_t frames = stream->frameCount();
+                const std::size_t chunk = step ? step : frames;
+                for (std::size_t end = 0; end < frames;) {
+                    end = std::min(frames, end + chunk);
+                    stream->ensureScored(end);
+                }
+                const auto got = stream->finish();
+                expectSameMatrix(*got, *want);
+                EXPECT_EQ(inferGrowth(start), want_infer);
+            }
+        }
+    }
+}
+
+TEST(PipelinedScoring, ConsumerScoresWhatNoHelperIsScoring)
+{
+    // Every helper worker is held by a task blocked on a latch, so the
+    // streams' prefetch tasks stay queued: the consumer scores every
+    // window itself, and a stream can go before its task ever runs.
+    auto &ctx = context();
+    AsrSystem &sys = ctx.system;
+    const PruneLevel level = PruneLevel::P90;
+    const std::size_t batch = sys.engineFor(level).batchFrames();
+    Utterance utt = longestUtterance(ctx, level);
+    const auto want = sys.scoresFor(utt, level);
+    ASSERT_GT(want->frameCount(), 2 * batch);
+
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t holding = 0;
+    bool open = false;
+    bool done = false;
+    bool timed_out = false;
+    ThreadPool helpers(2);
+    for (std::size_t i = 0; i < helpers.threadCount(); ++i) {
+        helpers.submit([&] {
+            std::unique_lock<std::mutex> lock(mutex);
+            ++holding;
+            cv.notify_all();
+            cv.wait(lock, [&] { return open; });
+        });
+    }
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return holding == helpers.threadCount(); });
+    }
+    // Opens the latch if the consumer hangs on a queued task, so a
+    // failing run ends instead of deadlocking.
+    std::thread guard([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (!cv.wait_for(lock, std::chrono::seconds(60),
+                         [&] { return done; })) {
+            timed_out = true;
+            open = true;
+            cv.notify_all();
+        }
+    });
+
+    utt.id = freshId();
+    auto stream = sys.openScoreStream(utt, level);
+    ASSERT_FALSE(stream->complete());
+    stream->startPrefetch(batch, &helpers);
+    stream->ensureScored(stream->frameCount() / 2);
+    expectSameMatrix(*stream->finish(), *want);
+
+    Utterance other = utt;
+    other.id = freshId();
+    auto dropped = sys.openScoreStream(other, level);
+    dropped->startPrefetch(batch, &helpers);
+    dropped->ensureScored(1);
+    dropped.reset();
+
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        done = true;
+        EXPECT_FALSE(timed_out);
+        open = true;
+        cv.notify_all();
+    }
+    guard.join();
+}
+
+TEST(PipelinedScoring, PoolMayStopRightAfterFinish)
+{
+    // One-frame windows keep a helper task queueing the next one while
+    // the consumer scores too; once finish() returns no task may still
+    // be about to queue another, so the pool can stop at once.
+    auto &ctx = context();
+    const PruneLevel level = PruneLevel::P90;
+    Utterance utt = longestUtterance(ctx, level);
+    utt.id = 0; // uncacheable: every stream scores cold
+    for (int i = 0; i < 200; ++i) {
+        ThreadPool helpers(2);
+        auto stream = ctx.system.openScoreStream(utt, level);
+        stream->startPrefetch(1, &helpers);
+        stream->finish();
+    }
+}
+
+TEST(PipelinedScoring, AbandonedDecodeStillCachesItsScores)
+{
+    // An injected decoder.decode fault abandons the decode, but the
+    // utterance is scored and cached whole, as when scoring finished
+    // before the decode began: the next scoresFor is a hit.
+    auto &ctx = context();
+    AsrSystem &sys = ctx.system;
+    auto &reg = telemetry::MetricRegistry::global();
+    const auto config =
+        ctx.setup.configFor(SearchMode::NBestHash, PruneLevel::P90);
+    for (const FaultKind kind : {FaultKind::Timeout, FaultKind::AllocFail}) {
+        SCOPED_TRACE(faultKindName(kind));
+        Utterance utt = longestUtterance(ctx, config.prune);
+        utt.id = freshId();
+        {
+            FaultRule rule;
+            rule.probe = "decoder.decode";
+            rule.kind = kind;
+            rule.keys = {utt.id};
+            FaultPlan plan;
+            plan.rules.push_back(rule);
+            ScopedFaultPlan scoped(std::move(plan));
+            EXPECT_THROW(sys.runUtterance(utt, config), FaultError);
+        }
+        const telemetry::Snapshot before = reg.snapshot();
+        const auto cached = sys.scoresFor(utt, config.prune);
+        EXPECT_EQ(counterGrowth(before, "dnn.cache.hit"), 1u);
+        EXPECT_EQ(counterGrowth(before, "dnn.infer.frames"), 0u);
+        Utterance fresh = utt;
+        fresh.id = freshId();
+        expectSameMatrix(*cached, *sys.scoresFor(fresh, config.prune));
+    }
+}
+
+TEST(PipelinedScoring, DeadSearchMatchesBatchDecode)
+{
+    // On a graph whose cheap branch is a dead end, a small beam kills
+    // the search at frame 1. Through runUtterance's stream it reports
+    // the batch kernel's words, cost and counts, but the stream stops
+    // appending frames where the search died, while the batch kernel
+    // keeps one entry per frame.
+    auto &ctx = context();
+    Wfst::Builder builder;
+    const StateId start = builder.addState();
+    const StateId dead_end = builder.addState();
+    const StateId alive = builder.addState();
+    builder.setStart(start);
+    builder.addArc(start, Arc{0, 1, 0.0f, dead_end});
+    builder.addArc(start, Arc{0, 2, 5.0f, alive});
+    builder.addArc(alive, Arc{1, kEpsilon, 0.0f, alive});
+    builder.setFinal(alive, 0.0f);
+    const Wfst trap = std::move(builder).build();
+    AsrSystem sys(ctx.corpus, trap, ctx.zoo, ctx.setup.platform);
+    auto config = ctx.setup.configFor(SearchMode::Baseline, PruneLevel::P90);
+    config.beam = 2.0f;
+
+    const ViterbiDecoder decoder(trap, DecoderConfig{config.beam});
+    for (const Utterance &utt : ctx.testSet) {
+        const auto scores = sys.scoresFor(utt, config.prune);
+        auto selector = sys.makeSelector(config);
+        const DecodeResult want = decoder.decode(*scores, *selector);
+        ASSERT_TRUE(std::isinf(want.totalCost));
+        ASSERT_EQ(want.frames.size(), scores->frameCount());
+
+        const UtteranceRun run = sys.runUtterance(utt, config);
+        EXPECT_EQ(run.decode.words, want.words);
+        EXPECT_EQ(run.decode.totalCost, want.totalCost);
+        EXPECT_EQ(run.decode.reachedFinal, want.reachedFinal);
+        EXPECT_EQ(run.decode.totalSurvivors(), want.totalSurvivors());
+        EXPECT_EQ(run.decode.totalGenerated(), want.totalGenerated());
+        EXPECT_EQ(run.frames, scores->frameCount());
+        ASSERT_EQ(run.decode.frames.size(), 2u);
+        EXPECT_EQ(run.decode.frames[1].generated, 0u);
+        EXPECT_EQ(run.decode.frames[1].survivors, 0u);
     }
 }
 
